@@ -28,7 +28,7 @@ from .bijection import FamilyError, phi, psi
 from .permutations import parse_permutation
 from .polynomials import NotPalindromicError, format_poly, gamma_decompose
 from .rcindex import rc_index
-from .trees import DiskTree, InvalidTreeError, perm_to_tree
+from .trees import TOO_DEEP_FOR_JSON, DiskTree, InvalidTreeError, perm_to_tree
 from .verify import SUITES, PolyCache, verify_suite
 from .words import InvalidWordError, NotSeparableError, sweep
 
@@ -97,8 +97,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, indent=1, sort_keys=True))
     elif args.format == "csv":
         keys = sorted(payload)
+        row = ",".join(str(payload[k]) for k in keys)
         print(",".join(keys))
-        print(",".join(str(payload[k]) for k in keys))
+        print(row)
     else:
         print(text)
 
@@ -140,8 +141,14 @@ def _cmd_tree(args) -> int:
             "positions": list(exc.positions),
         }, f"NotSeparable: pattern {exc.pattern} at positions {list(exc.positions)}")
         return EXIT_CHECK_FAILED
-    payload = {"tree": tree.to_text(), "json": tree.to_json_obj()}
-    _emit(args, payload, tree.to_text() + "\n" + _chain_view_text(tree))
+    if args.format == "text":
+        print(tree.to_text() + "\n" + _chain_view_text(tree))
+        return EXIT_OK
+    try:
+        _emit(args, {"tree": tree.to_text(), "json": tree.to_json_obj()}, "")
+    except RecursionError:
+        # json.dumps and the repr of nested dicts recurse once per level.
+        raise InvalidTreeError(f"{TOO_DEEP_FOR_JSON}; use --format text") from None
     return EXIT_OK
 
 

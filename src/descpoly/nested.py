@@ -1,0 +1,177 @@
+"""Binary trees of ``(label, left, right)`` triples, walked without recursion.
+
+Schröder-word expressions and di-sk trees are the same nested triples; they
+differ only in the empty subtree, the atom ``"1"`` of a word and ``None``
+in a tree.  Every walker over either goes through :func:`index`, one
+explicit-stack pass that numbers the nodes by in-order and records the
+links between them.  The other helpers here are plain loops over that
+record, so no walker recurses and inputs of any depth take linear time.
+
+Nodes are compared with the empty marker by identity.  ``None`` is a
+singleton, and CPython keeps one object for every one-character string, so
+this holds for the atom ``"1"`` however the expression was built.
+"""
+
+from __future__ import annotations
+
+from typing import Any, NamedTuple, Sequence
+
+# Marks a ')' on the parser's stack.
+_CLOSE = object()
+
+
+class Index(NamedTuple):
+    """A tree numbered 1..m by in-order; 0 stands for an empty subtree.
+
+    ``nodes[i]`` is the i-th node (``nodes[0]`` is the empty marker),
+    ``left``, ``right`` and ``parent`` hold in-order ids, and ``post``
+    lists the ids children first, so ``reversed(post)`` puts every parent
+    before its children.
+    """
+
+    nodes: list
+    left: list[int]
+    right: list[int]
+    parent: list[int]
+    post: list[int]
+
+    @property
+    def root(self) -> Any:
+        return self.nodes[self.post[-1]] if self.post else self.nodes[0]
+
+
+def index(root: Any, empty: Any) -> Index:
+    """Number the nodes of a tree by in-order, with an explicit stack.
+
+    Each node is pushed once on the way down its left spine and popped
+    once, when it gets its id.  A right child's parent is known when the
+    child is pushed; a left child's parent is the node popped right after
+    the child's subtree is complete, which is when the climb below ends.
+    """
+    nodes = [empty]
+    left = [0]
+    right = [0]
+    parent = [0]
+    post: list[int] = []
+    stack: list[tuple[Any, int]] = []
+    push, pop = stack.append, stack.pop
+    add_node, add_left, add_right = nodes.append, left.append, right.append
+    add_parent, add_post = parent.append, post.append
+    node, up, done, i = root, 0, 0, 0
+    while True:
+        while node is not empty:
+            push((node, up))
+            node, up = node[1], 0
+        if not stack:
+            break
+        node, up = pop()
+        i += 1
+        add_node(node)
+        if node[1] is empty:
+            add_left(0)
+        else:
+            add_left(done)
+            parent[done] = i
+        add_right(0)
+        add_parent(up)
+        if up:
+            right[up] = i
+        node = node[2]
+        if node is empty:
+            # The subtree of i is complete, and with it every subtree that
+            # i ends through right links; only right links are set yet.
+            add_post(i)
+            done = i
+            while parent[done]:
+                done = parent[done]
+                add_post(done)
+        else:
+            up = i
+    return Index(nodes, left, right, parent, post)
+
+
+def sizes(ix: Index) -> list[int]:
+    """Number of nodes in the subtree of each id (0 for the empty id)."""
+    left, right = ix.left, ix.right
+    size = [0] * len(left)
+    for v in ix.post:
+        size[v] = size[left[v]] + size[right[v]] + 1
+    return size
+
+
+def rebuild(ix: Index, empty: Any) -> list:
+    """Fresh triples with the same labels and shape over another empty
+    marker; entry i is the subtree of id i (entry 0 is ``empty``)."""
+    nodes, left, right = ix.nodes, ix.left, ix.right
+    out = [empty] * len(nodes)
+    for v in ix.post:
+        out[v] = (nodes[v][0], out[left[v]], out[right[v]])
+    return out
+
+
+def render(ix: Index, leaf: str, opens: dict, mids: dict, close: str = ")") -> str:
+    """Text of the tree as ``open left mid right close`` per node.
+
+    Every node writes three tokens and every empty subtree one, ``leaf``,
+    so a subtree of k nodes spans 4k + 1 tokens.  Top down, each node's
+    first token is placed from its parent's, into a list prefilled with
+    ``leaf``.  ``opens`` and ``mids`` map a label to its tokens.
+    """
+    nodes, left, right = ix.nodes, ix.left, ix.right
+    size = sizes(ix)
+    out = [leaf] * (4 * size[ix.post[-1]] + 1 if ix.post else 1)
+    start = [0] * len(nodes)
+    for v in reversed(ix.post):
+        s = start[v]
+        label = nodes[v][0]
+        l = left[v]
+        mid = s + 4 * size[l] + 2
+        out[s] = opens[label]
+        out[mid] = mids[label]
+        out[s + 4 * size[v]] = close
+        start[l] = s + 1
+        start[right[v]] = mid + 1
+    return "".join(out)
+
+
+def parse(tokens: Sequence[str], atom: str, empty: Any, labels: tuple[str, ...],
+          op_at: int, error: type[Exception]) -> Any:
+    """Build triples from ``( item item item )`` groups, without recursion.
+
+    Inside a group the label is item ``op_at`` (0 or 1) and the other two
+    items are the subtrees, tuples or ``empty``, which ``atom`` stands
+    for.  A right child with its parent's label is refused, as both words
+    and di-sk trees require.  The tokens are read from the end with one
+    stack of values: ``)`` pushes a marker, ``(`` pops the group's three
+    items and its marker and pushes the node.
+    """
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    pos = len(tokens)
+    for tok in reversed(tokens):
+        pos -= 1
+        if tok == atom:
+            push(empty)
+        elif tok == ")":
+            push(_CLOSE)
+        elif tok == "(":
+            if len(stack) < 4:
+                raise error(f"unmatched '(' at offset {pos}")
+            a, b, r = pop(), pop(), pop()
+            if pop() is not _CLOSE:
+                raise error(f"group at offset {pos} does not hold three items")
+            op, l = (a, b) if op_at == 0 else (b, a)
+            if (op not in labels
+                    or not (l is empty or l.__class__ is tuple)
+                    or not (r is empty or r.__class__ is tuple)):
+                raise error(f"group at offset {pos} is not a label and two subtrees")
+            if r is not empty and r[0] == op:
+                raise error(f"right child repeats the label {op!r} at offset {pos}")
+            push((op, l, r))
+        elif tok in labels:
+            push(tok)
+        else:
+            raise error(f"unexpected {tok!r} at offset {pos}")
+    if len(stack) != 1 or stack[0] is _CLOSE or stack[0] in labels:
+        raise error("input is not a single tree")
+    return stack[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,55 @@ PATTERN_2413 = Permutation((2, 4, 1, 3))
 PATTERN_3142 = Permutation((3, 1, 4, 2))
 
 
+def separating_pass(word: Sequence[int], leaf=None, join=None) -> list:
+    """Blocks left by one left-to-right stack pass over a permutation.
+
+    This is the separating-tree construction of Bose, Buss and Lubiw
+    ("Pattern matching for permutations", IPL 65, 1998).  A block is a run
+    of consecutive entries whose values form an interval.  Each entry is
+    pushed as a block of its own, then the top two blocks merge while
+    their intervals are adjacent.  Every entry is pushed once and every
+    merge pops one block, so the pass is linear.  The word is separable,
+    that is it avoids 2413 and 3142, exactly when one block is left.
+
+    Each block carries a part: ``leaf`` for a single entry, and
+    ``join(increasing, left_part, right_part)`` for a merge, where
+    ``increasing`` says the left block holds the smaller values.  Without
+    ``join`` the parts stay ``leaf``; only their number matters then.
+
+    >>> len(separating_pass((2, 1, 3))), len(separating_pass((2, 4, 1, 3)))
+    (1, 4)
+    """
+    lo: list[int] = []
+    hi: list[int] = []
+    parts: list = []
+    for v in word:
+        a = b = v
+        part = leaf
+        while lo:
+            if hi[-1] + 1 == a:
+                increasing = True
+                a = lo.pop()
+                hi.pop()
+            elif b + 1 == lo[-1]:
+                increasing = False
+                b = hi.pop()
+                lo.pop()
+            else:
+                break
+            left_part = parts.pop()
+            if join is not None:
+                part = join(increasing, left_part, part)
+        lo.append(a)
+        hi.append(b)
+        parts.append(part)
+    return parts
+
+
 def is_separable(p: Permutation) -> bool:
-    """True when p avoids both 2413 and 3142."""
-    return p.avoids(PATTERN_2413, PATTERN_3142)
+    """True when p avoids both 2413 and 3142, decided by the linear
+    ``separating_pass``."""
+    return len(separating_pass(p.word)) <= 1
 
 
 def separable_permutations(n: int) -> Iterator[Permutation]:

@@ -30,15 +30,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Optional
 
+from .nested import Index, index, parse, rebuild, render
 from .permutations import Permutation
 from .words import (
     LEAF,
     MINUS,
     PLUS,
-    Expr,
     SchroderWord,
+    index_values,
     sweep,
 )
 
@@ -50,19 +52,25 @@ ShapeNode = Optional[tuple]
 
 
 class InvalidTreeError(ValueError):
-    """Raised when a right chain fails to alternate."""
+    """Raised when a right chain fails to alternate, or for a malformed
+    text or JSON form."""
 
 
-def _validate(node: TreeNode) -> None:
-    if node is None:
-        return
-    label, left, right = node
-    if label not in (PLUS, MINUS):
-        raise InvalidTreeError(f"bad label {label!r}")
-    if right is not None and right[0] == label:
-        raise InvalidTreeError("right chain does not alternate")
-    _validate(left)
-    _validate(right)
+TOO_DEEP_FOR_JSON = "tree nested deeper than the json module can handle"
+
+
+# Tokens of the text form per label: "(label " before the left subtree,
+# a space between the subtrees.
+_OPENS = {PLUS: "(+ ", MINUS: "(- "}
+_MIDS = {PLUS: " ", MINUS: " "}
+
+
+def _validate(ix: Index) -> None:
+    for label, _, right in islice(ix.nodes, 1, None):
+        if label not in (PLUS, MINUS):
+            raise InvalidTreeError(f"bad label {label!r}")
+        if right is not None and right[0] == label:
+            raise InvalidTreeError("right chain does not alternate")
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,24 @@ class DiskTree:
     def __init__(self, root: TreeNode, _validate_labels: bool = True):
         # The empty tree (root None) is allowed: it corresponds to the
         # one-leaf word and the singleton permutation.
-        if _validate_labels:
-            _validate(root)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_cache", {})
+        if _validate_labels:
+            _validate(self._index())
+
+    @classmethod
+    def _from_index(cls, ix: Index) -> "DiskTree":
+        """An unvalidated tree whose in-order numbering is already known."""
+        tree = cls(ix.root, _validate_labels=False)
+        tree._cache["index"] = ix
+        return tree
+
+    def _index(self) -> Index:
+        """The tree numbered by in-order, shared by every view."""
+        ix = self._cache.get("index")
+        if ix is None:
+            ix = self._cache["index"] = index(self.root, None)
+        return ix
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiskTree) and self.root == other.root
@@ -151,7 +173,7 @@ class DiskTree:
     @property
     def size(self) -> int:
         """Number of nodes (= n - 1 for the length-n permutation)."""
-        return len(self.labels())
+        return len(self._index().nodes) - 1
 
     @property
     def n(self) -> int:
@@ -160,17 +182,8 @@ class DiskTree:
     def labels(self) -> tuple[str, ...]:
         """Node labels in in-order; index i-1 holds node i's label."""
         if "labels" not in self._cache:
-            out: list[str] = []
-
-            def walk(node: TreeNode) -> None:
-                if node is None:
-                    return
-                walk(node[1])
-                out.append(node[0])
-                walk(node[2])
-
-            walk(self.root)
-            self._cache["labels"] = tuple(out)
+            nodes = islice(self._index().nodes, 1, None)
+            self._cache["labels"] = tuple([node[0] for node in nodes])
         return self._cache["labels"]
 
     def n_minus(self) -> int:
@@ -181,30 +194,8 @@ class DiskTree:
 
     def _arrays(self):
         """Parent/child arrays keyed by in-order id (index 0 unused)."""
-        if "arrays" not in self._cache:
-            m = self.size
-            left = [0] * (m + 1)
-            right = [0] * (m + 1)
-            parent = [0] * (m + 1)
-            counter = [0]
-
-            def walk(node: TreeNode) -> int:
-                lab, l, r = node
-                lid = walk(l) if l is not None else 0
-                counter[0] += 1
-                me = counter[0]
-                rid = walk(r) if r is not None else 0
-                left[me], right[me] = lid, rid
-                if lid:
-                    parent[lid] = me
-                if rid:
-                    parent[rid] = me
-                return me
-
-            if self.root is not None:
-                walk(self.root)
-            self._cache["arrays"] = (left, right, parent)
-        return self._cache["arrays"]
+        ix = self._index()
+        return ix.left, ix.right, ix.parent
 
     def right_chains(self) -> RightChainView:
         """Decompose into right chains with order, level, lock/hang, groups."""
@@ -229,28 +220,19 @@ class DiskTree:
             raw_chains.append(tuple(nodes))
 
         # Levels and groups: lock keeps both, hang descends and opens a group.
+        # Parents come first in reversed post-order, so the chain a terminal
+        # attaches to, whose terminal is an ancestor, is settled before it.
         level = [0] * (len(raw_chains) + 1)
         group_key = [0] * (len(raw_chains) + 1)
-        resolved = [False] * (len(raw_chains) + 1)
-
-        def resolve(ci: int) -> None:
-            if resolved[ci]:
-                return
-            t = raw_chains[ci - 1][0]
+        for t in reversed(self._index().post):
             p = parent[t]
-            if p == 0:
-                level[ci], group_key[ci] = 0, 0
-            else:
-                pc = chain_of[p]
-                resolve(pc)
-                if p == raw_chains[pc - 1][0]:          # lock to the parent chain
-                    level[ci], group_key[ci] = level[pc], group_key[pc]
-                else:                                    # hang below a non-terminal
-                    level[ci], group_key[ci] = level[pc] + 1, p
-            resolved[ci] = True
-
-        for ci in range(1, len(raw_chains) + 1):
-            resolve(ci)
+            if p == 0 or left[p] != t:
+                continue
+            ci, pc = chain_of[t], chain_of[p]
+            if p == raw_chains[pc - 1][0]:              # lock to the parent chain
+                level[ci], group_key[ci] = level[pc], group_key[pc]
+            else:                                        # hang below a non-terminal
+                level[ci], group_key[ci] = level[pc] + 1, p
 
         group_ids: dict[int, int] = {}
         for ci in range(1, len(raw_chains) + 1):
@@ -308,18 +290,11 @@ class DiskTree:
     # -- conversions ------------------------------------------------------
 
     def to_word(self) -> SchroderWord:
-        def back(node: TreeNode) -> Expr:
-            if node is None:
-                return LEAF
-            lab, l, r = node
-            return (lab, back(l), back(r))
-
-        return SchroderWord(back(self.root))
+        ix = self._index()
+        return SchroderWord(ix._replace(nodes=rebuild(ix, LEAF)).root)
 
     def to_perm(self) -> Permutation:
-        from .words import word_to_perm
-
-        return word_to_perm(self.to_word())
+        return Permutation(index_values(self._index()))
 
     def shape(self) -> "TreeShape":
         def strip(node: TreeNode) -> ShapeNode:
@@ -357,70 +332,72 @@ class DiskTree:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        def fmt(node: TreeNode) -> str:
-            if node is None:
-                return "_"
-            lab, l, r = node
-            return f"({lab} {fmt(l)} {fmt(r)})"
-
-        return fmt(self.root)
+        return render(self._index(), "_", _OPENS, _MIDS)
 
     @classmethod
     def parse(cls, text: str) -> "DiskTree":
+        """Read the text form; the parser checks labels and alternation."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        pos = 0
-
-        def parse_node() -> TreeNode:
-            nonlocal pos
-            if pos >= len(tokens):
-                raise InvalidTreeError("unexpected end of input")
-            tok = tokens[pos]
-            if tok == "_":
-                pos += 1
-                return None
-            if tok != "(":
-                raise InvalidTreeError(f"expected '(' or '_', got {tok!r}")
-            pos += 1
-            lab = tokens[pos]
-            if lab not in (PLUS, MINUS):
-                raise InvalidTreeError(f"expected label, got {lab!r}")
-            pos += 1
-            l = parse_node()
-            r = parse_node()
-            if tokens[pos] != ")":
-                raise InvalidTreeError(f"expected ')', got {tokens[pos]!r}")
-            pos += 1
-            return (lab, l, r)
-
-        node = parse_node()
-        if pos != len(tokens):
-            raise InvalidTreeError("trailing input")
-        return cls(node)
+        root = parse(tokens, "_", None, (PLUS, MINUS), 0, InvalidTreeError)
+        return cls(root, _validate_labels=False)
 
     def to_json_obj(self):
-        def enc(node: TreeNode):
-            if node is None:
-                return None
-            lab, l, r = node
-            return {"label": lab, "left": enc(l), "right": enc(r)}
-
-        return enc(self.root)
+        """Nested ``{"label", "left", "right"}`` objects, None when empty."""
+        ix = self._index()
+        nodes, left, right = ix.nodes, ix.left, ix.right
+        out = [None] * len(nodes)
+        for v in ix.post:
+            out[v] = {"label": nodes[v][0], "left": out[left[v]], "right": out[right[v]]}
+        return out[ix.post[-1]] if ix.post else None
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """JSON text of ``to_json_obj``.
+
+        Raises InvalidTreeError when the tree is nested deeper than the
+        ``json`` module can encode (about a thousand levels).
+        """
+        try:
+            return json.dumps(self.to_json_obj())
+        except RecursionError:
+            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
 
     @classmethod
     def from_json_obj(cls, obj) -> "DiskTree":
-        def dec(o) -> TreeNode:
-            if o is None:
-                return None
-            return (o["label"], dec(o["left"]), dec(o["right"]))
-
-        return cls(dec(obj))
+        """Tree of ``to_json_obj``'s form, checked as ``from_json`` does."""
+        try:
+            text = json.dumps(obj)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTreeError(f"not a tree in JSON form: {exc}") from None
+        except RecursionError:
+            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
+        return cls.from_json(text)
 
     @classmethod
     def from_json(cls, text: str) -> "DiskTree":
-        return cls.from_json_obj(json.loads(text))
+        """Read the JSON form; each object is checked as it is decoded."""
+        try:
+            root = json.loads(text, object_hook=_json_node)
+        except RecursionError:
+            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
+        if root is not None and type(root) is not tuple:
+            raise InvalidTreeError(f"a tree is a node object or null, not {root!r}")
+        return cls(root, _validate_labels=False)
+
+
+def _json_node(obj: dict) -> tuple:
+    """One ``{"label", "left", "right"}`` object as a node, children first."""
+    try:
+        label, left, right = obj["label"], obj["left"], obj["right"]
+    except KeyError as exc:
+        raise InvalidTreeError(f"tree node without the key {exc.args[0]!r}") from None
+    if label not in (PLUS, MINUS):
+        raise InvalidTreeError(f"bad label {label!r}")
+    for child in (left, right):
+        if child is not None and type(child) is not tuple:
+            raise InvalidTreeError(f"a subtree is a node object or null, not {child!r}")
+    if right is not None and right[0] == label:
+        raise InvalidTreeError("right chain does not alternate")
+    return (label, left, right)
 
 
 @dataclass(frozen=True)
@@ -570,13 +547,8 @@ def word_to_tree(w: SchroderWord) -> DiskTree:
     the alternation condition on trees.
     """
 
-    def convert(expr: Expr) -> TreeNode:
-        if expr == LEAF:
-            return None
-        op, left, right = expr
-        return (op, convert(left), convert(right))
-
-    return DiskTree(convert(w.expr), _validate_labels=False)
+    ix = w._index
+    return DiskTree._from_index(ix._replace(nodes=rebuild(ix, None)))
 
 
 def tree_to_word(t: DiskTree) -> SchroderWord:

@@ -8,11 +8,16 @@ nestings ``(A+(B+C))`` and ``(A-(B-C))`` can never arise because the sweep
 always merges the leftmost eligible pair first, producing ``((A+B)+C)``
 instead.
 
-The sweep itself reads a permutation left to right as a list of blocks,
-each covering an interval of values.  Whenever the two adjacent blocks with
-the least index hold consecutive values they merge: ``+`` if the left block
-is the smaller interval, ``-`` if it is the larger.  A permutation sweeps
-down to a single block exactly when it avoids 2413 and 3142.
+The sweep reads a permutation as a list of blocks, each covering an
+interval of values.  Whenever the two adjacent blocks with the least index
+hold consecutive values they merge: ``+`` if the left block is the smaller
+interval, ``-`` if it is the larger.  A permutation sweeps down to a single
+block exactly when it avoids 2413 and 3142.  ``sweep`` applies this rule in
+one left-to-right pass over a stack of blocks, in linear time.
+
+Every walker over an expression goes through ``nested.index``, which
+numbers its operators by in-order without recursion, so words of any depth
+are handled.
 
 Grammar for the textual form (whitespace ignored on parse, never emitted):
 
@@ -24,13 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Union
 
+from .nested import Index, index, parse, render, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
     Permutation,
     find_pattern,
+    separating_pass,
 )
 
 PLUS = "+"
@@ -58,18 +66,25 @@ class NotSeparableError(ValueError):
 LEAF = "1"
 Expr = Union[str, tuple]
 
+# Tokens of the textual form per operator: "(" before the left operand,
+# the operator between the operands.
+_OPENS = {PLUS: "(", MINUS: "("}
+_MIDS = {PLUS: PLUS, MINUS: MINUS}
+
 
 def _node(op: str, left: Expr, right: Expr) -> tuple:
     return (op, left, right)
 
 
+def _right_chains_alternate(ix: Index) -> bool:
+    for op, _, right in islice(ix.nodes, 1, None):
+        if right is not LEAF and right[0] == op:
+            return False
+    return True
+
+
 def expr_is_valid(expr: Expr) -> bool:
-    if expr == LEAF:
-        return True
-    op, left, right = expr
-    if isinstance(right, tuple) and right[0] == op:
-        return False
-    return expr_is_valid(left) and expr_is_valid(right)
+    return _right_chains_alternate(index(expr, LEAF))
 
 
 @dataclass(frozen=True)
@@ -79,14 +94,25 @@ class SchroderWord:
     expr: Expr
 
     def __init__(self, expr: Expr, _validate: bool = True):
-        if _validate and not expr_is_valid(expr):
-            raise InvalidWordError(f"right-chain restriction violated: {expr_to_text(expr)}")
         object.__setattr__(self, "expr", expr)
+        if _validate:
+            ix = index(expr, LEAF)
+            if not _right_chains_alternate(ix):
+                raise InvalidWordError(f"right-chain restriction violated: {self}")
+            # A word that is checked is usually walked again, as sweep's
+            # words are; words enumerated by the thousand are not checked
+            # and keep no numbering.
+            object.__setattr__(self, "_checked_index", ix)
+
+    @property
+    def _index(self) -> Index:
+        """The expression numbered by in-order, shared by every view."""
+        return self.__dict__.get("_checked_index") or index(self.expr, LEAF)
 
     @property
     def n(self) -> int:
         """Number of leaves."""
-        return _leaf_count(self.expr)
+        return len(self._index.nodes)
 
     def operators(self) -> tuple[str, ...]:
         """Operators in left-to-right textual order.
@@ -94,18 +120,7 @@ class SchroderWord:
         >>> SchroderWord.parse("((1+1)-1)").operators()
         ('+', '-')
         """
-        out: list[str] = []
-
-        def walk(e: Expr) -> None:
-            if e == LEAF:
-                return
-            op, left, right = e
-            walk(left)
-            out.append(op)
-            walk(right)
-
-        walk(self.expr)
-        return tuple(out)
+        return tuple([node[0] for node in islice(self._index.nodes, 1, None)])
 
     def minus_positions(self) -> frozenset[int]:
         """1-based positions of ``-`` in the operator sequence."""
@@ -114,67 +129,37 @@ class SchroderWord:
         )
 
     def __str__(self) -> str:
-        return expr_to_text(self.expr)
+        return render(self._index, LEAF, _OPENS, _MIDS)
 
     @classmethod
     def parse(cls, text: str) -> "SchroderWord":
-        return cls(parse_expr(text))
-
-
-@lru_cache(maxsize=None)
-def _leaf_count(expr: Expr) -> int:
-    if expr == LEAF:
-        return 1
-    return _leaf_count(expr[1]) + _leaf_count(expr[2])
+        return cls(parse_expr(text), _validate=False)
 
 
 def expr_to_text(expr: Expr) -> str:
-    if expr == LEAF:
-        return "1"
-    op, left, right = expr
-    return f"({expr_to_text(left)}{op}{expr_to_text(right)})"
+    return render(index(expr, LEAF), LEAF, _OPENS, _MIDS)
 
 
 def parse_expr(text: str) -> Expr:
-    stripped = "".join(text.split())
-    pos = 0
+    """Expression of a word's text; whitespace is ignored.
 
-    def parse() -> Expr:
-        nonlocal pos
-        if pos >= len(stripped):
-            raise InvalidWordError("unexpected end of word")
-        ch = stripped[pos]
-        if ch == "1":
-            pos += 1
-            return LEAF
-        if ch != "(":
-            raise InvalidWordError(f"expected '1' or '(' at offset {pos}")
-        pos += 1
-        left = parse()
-        if pos >= len(stripped) or stripped[pos] not in (PLUS, MINUS):
-            raise InvalidWordError(f"expected operator at offset {pos}")
-        op = stripped[pos]
-        pos += 1
-        right = parse()
-        if pos >= len(stripped) or stripped[pos] != ")":
-            raise InvalidWordError(f"expected ')' at offset {pos}")
-        pos += 1
-        return _node(op, left, right)
-
-    expr = parse()
-    if pos != len(stripped):
-        raise InvalidWordError(f"trailing input at offset {pos}")
-    return expr
+    Raises InvalidWordError for text off the grammar, and for a word that
+    breaks the right-chain restriction.
+    """
+    return parse("".join(text.split()), LEAF, LEAF, (PLUS, MINUS), 1, InvalidWordError)
 
 
 def sweep(p: Permutation) -> SchroderWord:
     """Decompose a separable permutation into its Schröder word.
 
-    Each block is (expression, lo, hi) covering the value interval
-    [lo, hi].  Two adjacent blocks merge when their intervals are adjacent:
-    increasing (left below right) gives ``+``, decreasing gives ``-``.  The
-    leftmost eligible pair merges first, and the scan restarts because a
-    merge can enable a new merge immediately to its left.
+    One left-to-right pass over a stack of blocks, each an expression
+    covering an interval of values (see ``separating_pass``): every entry
+    is pushed as a leaf, then the top two blocks merge while their
+    intervals are adjacent, ``+`` when the lower block is on the left and
+    ``-`` when it is on the right.  The word is the one the leftmost-first
+    rule of the module docstring gives: the stack never holds a mergeable
+    pair, so each merge joins the leftmost adjacent pair of the whole
+    block sequence that can merge, as that rule would.  Linear time.
 
     >>> str(sweep(Permutation((9, 8, 4, 1, 3, 2, 7, 5, 6))))
     '((1-1)-((1-(1+(1-1)))+(1-(1+1))))'
@@ -182,27 +167,52 @@ def sweep(p: Permutation) -> SchroderWord:
     Raises NotSeparableError (with a witness occurrence) exactly when p
     contains 2413 or 3142.
     """
-    blocks: list[tuple[Expr, int, int]] = [(LEAF, v, v) for v in p.word]
-    while len(blocks) > 1:
-        for j in range(len(blocks) - 1):
-            _, llo, lhi = blocks[j]
-            _, rlo, rhi = blocks[j + 1]
-            if lhi + 1 == rlo:
-                op = PLUS
-            elif rhi + 1 == llo:
-                op = MINUS
-            else:
-                continue
-            le, re = blocks[j][0], blocks[j + 1][0]
-            blocks[j : j + 2] = [(_node(op, le, re), min(llo, rlo), max(lhi, rhi))]
-            break
+    if not p.word:
+        raise ValueError("the empty permutation has no Schröder word")
+    blocks = separating_pass(p.word, LEAF, _join)
+    if len(blocks) > 1:
+        for pattern in (PATTERN_2413, PATTERN_3142):
+            hit = find_pattern(p, pattern)
+            if hit is not None:
+                raise NotSeparableError(p, pattern, hit)
+        raise AssertionError(f"sweep stuck on {p} with no forbidden pattern")
+    return SchroderWord(blocks[0])
+
+
+def _join(increasing: bool, left: Expr, right: Expr) -> tuple:
+    return (PLUS if increasing else MINUS, left, right)
+
+
+def index_values(ix: Index) -> list[int]:
+    """One-line notation of the permutation of an expression or di-sk tree
+    numbered by ``nested.index``: ``+`` is the direct sum, ``-`` the skew
+    sum.
+
+    Leaf j is the left empty subtree of node j or the right one of node
+    j - 1.  Top down, each node passes its children the number of values
+    below their subtrees: under ``+`` the right operand lies above the
+    left one, under ``-`` below it.
+    """
+    nodes, left, right = ix.nodes, ix.left, ix.right
+    size = sizes(ix)
+    values = [1] * (len(nodes) + 1)
+    below = [0] * len(nodes)
+    for v in reversed(ix.post):
+        base = below[v]
+        l, r = left[v], right[v]
+        if nodes[v][0] == PLUS:
+            lbase, rbase = base, base + size[l] + 1
         else:
-            for pattern in (PATTERN_2413, PATTERN_3142):
-                hit = find_pattern(p, pattern)
-                if hit is not None:
-                    raise NotSeparableError(p, pattern, hit)
-            raise AssertionError(f"sweep stuck on {p} with no forbidden pattern")
-    return SchroderWord(blocks[0][0])
+            lbase, rbase = base + size[r] + 1, base
+        if l:
+            below[l] = lbase
+        else:
+            values[v] = lbase + 1
+        if r:
+            below[r] = rbase
+        else:
+            values[v + 1] = rbase + 1
+    return values[1:]
 
 
 def word_to_perm(w: SchroderWord) -> Permutation:
@@ -212,15 +222,7 @@ def word_to_perm(w: SchroderWord) -> Permutation:
     >>> str(word_to_perm(SchroderWord.parse("((1+1)-1)")))
     '231'
     """
-
-    def evaluate(e: Expr) -> Permutation:
-        if e == LEAF:
-            return Permutation((1,))
-        op, left, right = e
-        l, r = evaluate(left), evaluate(right)
-        return l.direct_sum(r) if op == PLUS else l.skew_sum(r)
-
-    return evaluate(w.expr)
+    return Permutation(index_values(w._index))
 
 
 def enumerate_words(n: int) -> Iterator[SchroderWord]:

@@ -207,6 +207,27 @@ def test_text_serialization_roundtrip():
             assert DiskTree.from_json(t.to_json()) == t
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"label": "+", "left": null}', "'right'"),
+    ('{"left": null, "right": null}', "'label'"),
+    ('{"label": "+", "left": 3, "right": null}', "not 3"),
+    ('{"label": "*", "left": null, "right": null}', "bad label"),
+    ('{"label": "+", "left": null, "right": {"label": "+", "left": null, "right": null}}',
+     "does not alternate"),
+    ('[1, 2]', "a tree is a node object or null"),
+])
+def test_from_json_rejects_malformed_trees(text, message):
+    with pytest.raises(InvalidTreeError, match=message):
+        DiskTree.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["", "(+ _", "(+ _ _) _", "+ _ _", "(_ + _)", "(+ _ _ _)",
+                                  "(* _ _)", "(+ (+ _ _) _ )x"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(InvalidTreeError):
+        DiskTree.parse(text)
+
+
 def test_empty_tree():
     t = DiskTree(None)
     assert t.size == 0 and t.n == 1

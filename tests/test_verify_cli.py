@@ -101,6 +101,29 @@ def test_cli_tree(capsys):
     assert "chains: 3 (odd 2, even 1)" in out
 
 
+IDENTITY_1500 = " ".join(map(str, range(1, 1501)))
+
+
+def test_cli_sweep_and_tree_on_a_deep_input(capsys):
+    # the identity is a left comb of depth 1499, past the recursion limit
+    assert main(["sweep", IDENTITY_1500]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "(" * 1499 + "1" + "+1)" * 1499
+    assert main(["tree", IDENTITY_1500]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "(+ " * 1499 + "_" + " _)" * 1499
+    assert lines[1] == "chains: 1499 (odd 1499, even 0)"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_tree_too_deep_for_json(capsys, fmt):
+    assert main(["--format", fmt, "tree", IDENTITY_1500]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree nested deeper than the json module")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_poly(capsys):
     assert main(["poly", "D", "6"]) == 0
     assert capsys.readouterr().out.strip() == "16t+104t^2+120t^3+24t^4+t^5"
@@ -151,6 +174,13 @@ def test_cli_bij(tmp_path, capsys):
     jf = tmp_path / "tree.json"
     jf.write_text(json.dumps({"label": "-", "left": {"label": "+", "left": None, "right": None}, "right": None}))
     assert main(["bij", "psi", "--tree", str(jf)]) == 0
+
+
+def test_cli_bij_tree_without_a_key(tmp_path, capsys):
+    jf = tmp_path / "tree.json"
+    jf.write_text('{"label": "+", "left": null}')
+    assert main(["bij", "psi", "--tree", str(jf)]) == 2
+    assert capsys.readouterr().err == "error: tree node without the key 'right'\n"
 
 
 def test_cli_bij_domain_error(tmp_path, capsys):

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from descpoly.permutations import (
+    PATTERN_2413,
+    PATTERN_3142,
     Permutation,
     all_permutations,
     is_separable,
@@ -141,6 +144,8 @@ def test_enumeration_descent_histogram_n4():
 
 
 def test_sweep_agrees_with_pattern_avoidance_exhaustive():
+    # is_separable runs the same stack pass as sweep, so the independent
+    # reference is the pattern search.
     for n in range(1, 9):
         for p in all_permutations(n):
             try:
@@ -148,4 +153,11 @@ def test_sweep_agrees_with_pattern_avoidance_exhaustive():
                 swept = True
             except NotSeparableError:
                 swept = False
-            assert swept == is_separable(p)
+            assert swept == p.avoids(PATTERN_2413, PATTERN_3142)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_is_separable_agrees_with_pattern_avoidance_random(word):
+    p = Permutation(word)
+    assert is_separable(p) == p.avoids(PATTERN_2413, PATTERN_3142)
