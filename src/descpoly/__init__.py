@@ -20,6 +20,7 @@ The package provides, in pure exact arithmetic:
 
 from .bijection import (
     FamilyError,
+    InvariantError,
     Violation,
     bijection_certificate,
     classify,

@@ -19,6 +19,9 @@ last node back.  The two searches split into six mirrored cases each,
 tagged I..VI and 1..6; matching tags are inverse to each other.  All the
 elementary moves on one tree touch pairwise disjoint chains, so they can be
 applied in any order.
+
+Every post-condition and case-analysis claim is checked with an explicit
+``InvariantError``, so the checks stay on under ``python -O``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .nested import rebuild
 from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView
 from .words import MINUS, PLUS
 
@@ -36,6 +40,21 @@ REPAIR_CASES = (1, 2, 3, 4, 5, 6)
 
 class FamilyError(ValueError):
     """Input tree is outside the family a map or search expects."""
+
+
+class InvariantError(AssertionError):
+    """A claim of the case analysis or a map's post-condition failed.
+
+    A subclass of AssertionError, so code that catches failed assertions
+    catches it too; it is raised explicitly, so ``python -O`` keeps it.
+    """
+
+
+def _ensure(ok: bool, claim: str, *context) -> None:
+    """Raise InvariantError unless ``ok``; ``context`` is formatted only
+    then, so a passing check costs no repr of a tree."""
+    if not ok:
+        raise InvariantError(claim + "".join(f"; {c!r}" for c in context))
 
 
 @dataclass(frozen=True)
@@ -73,22 +92,26 @@ def family_two_violations(tree: DiskTree) -> tuple[Violation, ...]:
 
 
 def family_one_violations(tree: DiskTree) -> tuple[Violation, ...]:
-    view = tree.right_chains()
+    labels = tree.labels()
     return tuple(
-        Violation("odd-chain-starts-minus", c.nodes)
-        for c in view.chains
-        if c.is_odd and c.starts_with == MINUS
+        Violation("odd-chain-starts-minus", nodes)
+        for nodes in tree.chain_nodes()
+        if len(nodes) % 2 == 1 and labels[nodes[0] - 1] == MINUS
     )
 
 
 def classify(tree: DiskTree, k: Optional[int] = None) -> GammaFamilyMembership:
-    """Membership of the tree in the two gamma families at minus-count k."""
+    """Membership of the tree in the two gamma families at minus-count k.
+
+    Family one is read off the chain walk ``tree.chain_nodes()`` (chain
+    starts and lengths) and family two off the labels alone; neither needs
+    the levels, groups and attachments of ``right_chains``.
+    """
     n_minus = tree.n_minus()
     if k is None:
         k = n_minus
     v1 = family_one_violations(tree)
     v2 = family_two_violations(tree)
-    view = tree.right_chains()
     membership = GammaFamilyMembership(
         n=tree.n,
         k=k,
@@ -96,11 +119,13 @@ def classify(tree: DiskTree, k: Optional[int] = None) -> GammaFamilyMembership:
         in_dt1=(n_minus == k and not v1),
         in_dt2=(n_minus == k and not v2),
         violations=v1 + v2,
-        r_odd=view.r_odd,
+        r_odd=sum(len(nodes) % 2 for nodes in tree.chain_nodes()),
     )
     if membership.in_dt2 and not membership.in_dt1:
         excess = membership.odd_chain_excess
-        assert excess > 0 and excess % 2 == 0, (tree, excess)
+        _ensure(excess > 0 and excess % 2 == 0,
+                "family two minus family one has a positive even odd-chain excess",
+                tree, excess)
     return membership
 
 
@@ -157,14 +182,16 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
         for cj in reversed(run[:pos]):
             cand = view.chains[cj - 1]
             if cand.is_odd:
-                assert cand.starts_with == PLUS, (tree, chain_index, cj)
+                _ensure(cand.starts_with == PLUS, "the first odd chain below starts '+'",
+                        tree, chain_index, cj)
                 if c.level == 0:
                     case = "I" if cand.length == 1 else "II"
                 else:
                     case = "III" if cand.length == 1 else "IV"
                 return AdjointResult(cj, case, None)
-            assert cand.starts_with == MINUS, (tree, chain_index, cj)
-        raise AssertionError(f"no adjoint below chain {chain_index} in {tree!r}")
+            _ensure(cand.starts_with == MINUS, "an even chain below starts '-'",
+                    tree, chain_index, cj)
+        raise InvariantError(f"no adjoint below chain {chain_index} in {tree!r}")
 
     # Hang node labeled '-': look upward for the pivot.
     pivot = None
@@ -178,9 +205,10 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     if pivot is None:
         pivot = group.hang_node
         adjoint_idx = run[-1]
-    assert adjoint_idx != chain_index, (tree, chain_index)
+    _ensure(adjoint_idx != chain_index, "a chain is not its own adjoint", tree, chain_index)
     adjoint = view.chains[adjoint_idx - 1]
-    assert adjoint.is_odd and adjoint.starts_with == PLUS, (tree, chain_index)
+    _ensure(adjoint.is_odd and adjoint.starts_with == PLUS,
+            "the adjoint is an odd '+'-starting chain", tree, chain_index)
     case = "V" if c.length == 1 else "VI"
     return AdjointResult(adjoint_idx, case, pivot)
 
@@ -207,61 +235,72 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
 
     if violation.kind == "first-node-minus":
         first = view.chains[0]
-        assert first.terminal == 1 and first.starts_with == MINUS
+        _ensure(first.terminal == 1 and first.starts_with == MINUS,
+                "the first chain starts at node 1 with '-'", tree)
         group = _group_of(view, first)
-        assert group.hang_node is None and group.chains[0] == first.index
+        _ensure(group.hang_node is None and group.chains[0] == first.index,
+                "the first chain opens the root group", tree)
         l_idx = _walk_up_minus_run(view, group.chains, 0)
         l_chain = view.chains[l_idx - 1]
-        assert not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS
+        _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
+                "L is even and ends '+'", tree, violation)
         return RepairResult(l_idx, 1, l_chain.tail, "lock-left", first.terminal)
 
     if violation.kind != "consecutive-minus-pair":
         raise FamilyError(f"not a family-two violation: {violation}")
     x, y = violation.nodes
-    assert labels[x - 1] == MINUS and labels[y - 1] == MINUS
+    _ensure(labels[x - 1] == MINUS and labels[y - 1] == MINUS,
+            "both nodes of the pair are '-'", tree, violation)
 
     if right[x]:
         # The pair straddles a hang: y is the first node of the group
         # hanging at N = right child of x, and N is labeled '+'.
         n_node = right[x]
-        assert labels[n_node - 1] == PLUS
+        _ensure(labels[n_node - 1] == PLUS, "the hang node is '+'", tree, violation)
         first_idx = tree.chain_index_of(y)
         first = view.chains[first_idx - 1]
-        assert first.terminal == y
+        _ensure(first.terminal == y, "y starts its chain", tree, violation)
         group = _group_of(view, first)
-        assert group.hang_node == n_node and group.chains[0] == first_idx
+        _ensure(group.hang_node == n_node and group.chains[0] == first_idx,
+                "y's chain opens the group hanging at the right child of x",
+                tree, violation)
         pos = group.chains.index(first_idx)
         l_idx = _walk_up_minus_run(view, group.chains, pos)
         l_chain = view.chains[l_idx - 1]
-        assert not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS
+        _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
+                "L is even and ends '+'", tree, violation)
         return RepairResult(l_idx, 3, l_chain.tail, "lock-left", y)
 
     k_idx = tree.chain_index_of(x)
     k_chain = view.chains[k_idx - 1]
-    assert k_chain.tail == x, "first node of a '-' pair must end its chain"
+    _ensure(k_chain.tail == x, "the first node of a '-' pair ends its chain",
+            tree, violation)
     group = _group_of(view, k_chain)
     p = parent[k_chain.terminal]
-    assert p == y
+    _ensure(p == y, "y is the parent of the terminal of x's chain", tree, violation)
 
     z_idx = tree.chain_index_of(y)
     if y == view.chains[z_idx - 1].terminal:
         # Lock pair inside one group: dispatch on the group's hang node.
-        assert view.chains[z_idx - 1].group == k_chain.group
+        _ensure(view.chains[z_idx - 1].group == k_chain.group,
+                "a lock pair lies in one group", tree, violation)
         hang = _hang_label(tree, group)
         if hang is None or hang == PLUS:
             case = 2 if hang is None else 4
             pos = group.chains.index(z_idx)
             l_idx = _walk_up_minus_run(view, group.chains, pos)
             l_chain = view.chains[l_idx - 1]
-            assert not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS
+            _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
+                    "L is even and ends '+'", tree, violation)
             return RepairResult(l_idx, case, l_chain.tail, "attach-right", x)
         # Hang node '-': fall through, the pivot is y and L is x's chain.
     else:
         # The pair straddles levels: y is the hang node of x's group.
-        assert group.hang_node == y
+        _ensure(group.hang_node == y, "y is the hang node of x's group", tree, violation)
 
     # Cases 5/6: L is the even '+'-starting chain ending at x.
-    assert not k_chain.is_odd and k_chain.starts_with == PLUS
+    _ensure(not k_chain.is_odd and k_chain.starts_with == PLUS,
+            "x's chain is even and starts '+'", tree, violation)
     pos = group.chains.index(k_idx)
     one_l_idx = None
     for cj in reversed(group.chains[:pos]):
@@ -272,7 +311,8 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
         first_terminal = view.chains[group.chains[0] - 1].terminal
         return RepairResult(k_idx, 5, x, "lock-left", first_terminal)
     one_l = view.chains[one_l_idx - 1]
-    assert not one_l.is_odd and labels[one_l.tail - 1] == PLUS
+    _ensure(not one_l.is_odd and labels[one_l.tail - 1] == PLUS,
+            "the chain below is even and ends '+'", tree, violation)
     return RepairResult(k_idx, 6, x, "attach-right", one_l.tail)
 
 
@@ -290,52 +330,63 @@ class SurgeryOp:
 
 def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
     """Apply cut-and-paste moves; each cut node keeps its left subtree."""
-    labels = list(tree.labels())
-    left, right, parent = (list(a) for a in tree._arrays())
-    try:
-        root = parent.index(0, 1)
-    except ValueError:
+    ix = tree._index()
+    if not ix.post:
         return tree  # empty tree, nothing to do
+    left, right, parent = list(ix.left), list(ix.right), list(ix.parent)
+    root = ix.post[-1]
+    # The checks are inline: this loop runs once per move of every map.
     for op in ops:
         u, v = op.cut_node, op.attach_node
         p = parent[u]
-        assert p != 0, "cannot cut the root"
+        if p == 0:
+            raise InvariantError(f"cannot cut the root; {op!r}; {tree!r}")
         if left[p] == u:
             left[p] = 0
-        else:
-            assert right[p] == u
+        elif right[p] == u:
             right[p] = 0
+        else:
+            raise InvariantError(f"the cut node is no child of its parent; {op!r}; {tree!r}")
         if op.attach_kind == "attach-right":
-            assert right[v] == 0, "target already has a right child"
+            if right[v]:
+                raise InvariantError(f"the target has a right child; {op!r}; {tree!r}")
             right[v] = u
         else:
-            assert left[v] == 0, "target already has a left child"
+            if left[v]:
+                raise InvariantError(f"the target has a left child; {op!r}; {tree!r}")
             left[v] = u
         parent[u] = v
-
-    def build(v: int):
-        if v == 0:
-            return None
-        return (labels[v - 1], build(left[v]), build(right[v]))
-
-    return DiskTree(build(root))
+    # Parents before children (a breadth-first list grown while it is
+    # read), then the new triples children first, under the old ids.
+    order = [root]
+    for v in order:
+        if left[v]:
+            order.append(left[v])
+        if right[v]:
+            order.append(right[v])
+    order.reverse()
+    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order), None)[root])
 
 
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
-    """Moves taking a family-two tree to family one (empty on fixed points)."""
-    view = tree.right_chains()
+    """Moves taking a family-two tree to family one (empty on fixed points).
+
+    The odd ``-``-starting chains come from the chain walk; the full
+    ``right_chains`` view is built only when there is one to repair.
+    """
     labels = tree.labels()
     ops = []
-    for c in view.chains:
-        if c.is_odd and c.starts_with == MINUS:
-            found = find_adjoint(tree, c.index)
-            adj = view.chains[found.chain - 1]
-            if found.case in ("I", "II", "III", "IV"):
-                assert labels[adj.tail - 1] == PLUS and labels[c.tail - 1] == MINUS
-                ops.append(SurgeryOp(adj.tail, "attach-right", c.tail, found.case))
-            else:
-                assert labels[c.tail - 1] == MINUS and labels[adj.tail - 1] == PLUS
-                ops.append(SurgeryOp(c.tail, "attach-right", adj.tail, found.case))
+    for violation in family_one_violations(tree):
+        c_idx = tree.chain_index_of(violation.nodes[0])
+        c_tail = violation.nodes[-1]
+        found = find_adjoint(tree, c_idx)
+        adj_tail = tree.right_chains().chains[found.chain - 1].tail
+        _ensure(labels[adj_tail - 1] == PLUS and labels[c_tail - 1] == MINUS,
+                "the adjoint ends '+' and C ends '-'", tree, c_idx)
+        if found.case in ("I", "II", "III", "IV"):
+            ops.append(SurgeryOp(adj_tail, "attach-right", c_tail, found.case))
+        else:
+            ops.append(SurgeryOp(c_tail, "attach-right", adj_tail, found.case))
     return ops
 
 
@@ -350,15 +401,25 @@ def phi_plan(tree: DiskTree) -> list[SurgeryOp]:
     return ops
 
 
+def _apply_checked(tree: DiskTree, ops: list[SurgeryOp], n_minus: int,
+                   to_family_one: bool) -> DiskTree:
+    """Apply a map's plan and check that the image lands in the other
+    family with the same minus count."""
+    result = apply_ops(tree, ops)
+    out = classify(result)
+    lands = out.in_dt1 if to_family_one else out.in_dt2
+    _ensure(lands and out.n_minus == n_minus,
+            "psi lands in family one" if to_family_one else "phi lands in family two",
+            tree, result)
+    return result
+
+
 def psi(tree: DiskTree) -> DiskTree:
     """Forward bijection; the input must lie in family two."""
     m = classify(tree)
     if not m.in_dt2:
         raise FamilyError("psi expects a tree with '+' first node and no '-' pair")
-    result = apply_ops(tree, psi_plan(tree))
-    out = classify(result)
-    assert out.in_dt1 and out.n_minus == m.n_minus, (tree, result)
-    return result
+    return _apply_checked(tree, psi_plan(tree), m.n_minus, True)
 
 
 def phi(tree: DiskTree) -> DiskTree:
@@ -366,10 +427,7 @@ def phi(tree: DiskTree) -> DiskTree:
     m = classify(tree)
     if not m.in_dt1:
         raise FamilyError("phi expects a tree whose odd chains all start '+'")
-    result = apply_ops(tree, phi_plan(tree))
-    out = classify(result)
-    assert out.in_dt2 and out.n_minus == m.n_minus, (tree, result)
-    return result
+    return _apply_checked(tree, phi_plan(tree), m.n_minus, False)
 
 
 def order_independence_certificate(
@@ -402,34 +460,40 @@ def order_independence_certificate(
 
 
 def bijection_certificate(n: int, k: int) -> dict:
-    """Exhaustive check of the two families at (n, k); JSON-ready record."""
+    """Exhaustive check of the two families at (n, k); JSON-ready record.
+
+    Only the trees with k minus labels can belong to either family, so
+    only that bucket of ``enumerate_trees(n, n_minus=k)`` is classified.
+    Each member is mapped once, psi on family two and phi on family one,
+    and its plan feeds both the case histogram and the map, which checks
+    its image as ``psi``/``phi`` do.  The record certifies that psi is
+    injective, that its images are exactly family one, and that phi
+    undoes psi on family two and psi undoes phi on family one.
+    """
     from .trees import enumerate_trees
 
     dt1 = []
     dt2 = []
-    for t in enumerate_trees(n):
+    for t in enumerate_trees(n, n_minus=k):
         m = classify(t, k)
         if m.in_dt1:
             dt1.append(t)
         if m.in_dt2:
             dt2.append(t)
     histogram: dict[str, int] = {}
-    images = set()
-    ok = True
-    for t in dt2:
-        for op in psi_plan(t):
-            histogram[op.case] = histogram.get(op.case, 0) + 1
-        image = psi(t)
-        images.add(image)
-        if phi(image) != t:
-            ok = False
-    for t in dt1:
-        for op in phi_plan(t):
-            histogram[op.case] = histogram.get(op.case, 0) + 1
-        if psi(phi(t)) != t:
-            ok = False
-    ok = ok and len(images) == len(dt2) == len(dt1) and all(
-        classify(u, k).in_dt1 for u in images
+    images: dict[DiskTree, DiskTree] = {}      # psi on family two
+    preimages: dict[DiskTree, DiskTree] = {}   # phi on family one
+    for members, planner, out, to_family_one in ((dt2, psi_plan, images, True),
+                                                 (dt1, phi_plan, preimages, False)):
+        for t in members:
+            ops = planner(t)
+            for op in ops:
+                histogram[op.case] = histogram.get(op.case, 0) + 1
+            out[t] = _apply_checked(t, ops, k, to_family_one)
+    ok = (
+        len(set(images.values())) == len(dt2) == len(dt1)
+        and all(preimages.get(image) == t for t, image in images.items())
+        and all(images.get(back) == t for t, back in preimages.items())
     )
     return {
         "n": n,

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import families
-from .bijection import FamilyError, phi, psi
+from .bijection import FamilyError, InvariantError, phi, psi
 from .permutations import parse_permutation
 from .polynomials import NotPalindromicError, format_poly, gamma_decompose
 from .rcindex import rc_index
@@ -243,6 +243,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except InvariantError as exc:
+        # A library check failed: the answer cannot be trusted.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, KeyError, OSError, InvalidWordError, InvalidTreeError,
             FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .bijection import InvariantError
 from .families import _check_cap, separable_gamma
 from .permutations import all_permutations
 
@@ -194,7 +195,8 @@ def gessel_gamma(n: int):
     rank, consistent, solution = _solve_exact(rows, rhs)
     if solution is None:
         return Indeterminate(n, rank, len(index), consistent)
-    assert all(x.denominator == 1 for x in solution)
+    if any(x.denominator != 1 for x in solution):
+        raise InvariantError(f"the gamma expansion of n = {n} has a non-integer coefficient")
     gammas = tuple(
         (ij, int(x)) for ij, x in zip(index, solution) if x != 0
     )

@@ -2,7 +2,8 @@
 
 Schröder-word expressions and di-sk trees are the same nested triples; they
 differ only in the empty subtree, the atom ``"1"`` of a word and ``None``
-in a tree.  Every walker over either goes through :func:`index`, one
+in a tree; unlabeled tree shapes are ``(left, right)`` pairs over ``None``.
+Every walker over any of them goes through :func:`index`, one
 explicit-stack pass that numbers the nodes by in-order and records the
 links between them.  The other helpers here are plain loops over that
 record, so no walker recurses and inputs of any depth take linear time.
@@ -40,8 +41,12 @@ class Index(NamedTuple):
         return self.nodes[self.post[-1]] if self.post else self.nodes[0]
 
 
-def index(root: Any, empty: Any) -> Index:
+def index(root: Any, empty: Any, left_at: int = 1) -> Index:
     """Number the nodes of a tree by in-order, with an explicit stack.
+
+    A node's children are its items ``left_at`` and ``left_at + 1``: 1 for
+    ``(label, left, right)`` triples, 0 for the ``(left, right)`` pairs of
+    unlabeled shapes.
 
     Each node is pushed once on the way down its left spine and popped
     once, when it gets its id.  A right child's parent is known when the
@@ -57,17 +62,18 @@ def index(root: Any, empty: Any) -> Index:
     push, pop = stack.append, stack.pop
     add_node, add_left, add_right = nodes.append, left.append, right.append
     add_parent, add_post = parent.append, post.append
+    lo, hi = left_at, left_at + 1
     node, up, done, i = root, 0, 0, 0
     while True:
         while node is not empty:
             push((node, up))
-            node, up = node[1], 0
+            node, up = node[lo], 0
         if not stack:
             break
         node, up = pop()
         i += 1
         add_node(node)
-        if node[1] is empty:
+        if node[lo] is empty:
             add_left(0)
         else:
             add_left(done)
@@ -76,7 +82,7 @@ def index(root: Any, empty: Any) -> Index:
         add_parent(up)
         if up:
             right[up] = i
-        node = node[2]
+        node = node[hi]
         if node is empty:
             # The subtree of i is complete, and with it every subtree that
             # i ends through right links; only right links are set yet.
@@ -99,13 +105,19 @@ def sizes(ix: Index) -> list[int]:
     return size
 
 
-def rebuild(ix: Index, empty: Any) -> list:
-    """Fresh triples with the same labels and shape over another empty
-    marker; entry i is the subtree of id i (entry 0 is ``empty``)."""
-    nodes, left, right = ix.nodes, ix.left, ix.right
-    out = [empty] * len(nodes)
-    for v in ix.post:
-        out[v] = (nodes[v][0], out[left[v]], out[right[v]])
+def rebuild(ix: Index, empty: Any, labels: Sequence | None = None) -> list:
+    """Fresh triples of the same shape over another empty marker; entry i
+    is the subtree of id i (entry 0 is ``empty``).  Node i keeps its label,
+    or takes ``labels[i]`` when ``labels`` is given."""
+    left, right = ix.left, ix.right
+    out = [empty] * len(left)
+    if labels is None:
+        nodes = ix.nodes
+        for v in ix.post:
+            out[v] = (nodes[v][0], out[left[v]], out[right[v]])
+    else:
+        for v in ix.post:
+            out[v] = (labels[v], out[left[v]], out[right[v]])
     return out
 
 

@@ -157,13 +157,18 @@ def gamma_from_shapes(n: int, k: int) -> int:
     """gamma_k of the separable descent polynomial via shape classes:
     sum of 2^(number of even chains) over shapes with n-1-2k odd chains.
 
+    The shapes are read from ``rc_index(n)``: each of its monomials is one
+    chain-length multiset with its multiplicity, so every shape's chain
+    lengths are computed once per n, for both routes.
+
     >>> gamma_from_shapes(4, 1)
     7
     """
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError(f"k = {k} out of range for n = {n}")
     total = 0
-    for shape in enumerate_shapes(n):
-        if shape.r_odd == n - 1 - 2 * k:
-            total += 2**shape.r_even
+    for factors, mult in rc_index(n).terms:
+        odd = sum(l % 2 for l in factors)
+        if odd == n - 1 - 2 * k:
+            total += mult * 2 ** (len(factors) - odd)
     return total

@@ -63,6 +63,39 @@ TOO_DEEP_FOR_JSON = "tree nested deeper than the json module can handle"
 # a space between the subtrees.
 _OPENS = {PLUS: "(+ ", MINUS: "(- "}
 _MIDS = {PLUS: " ", MINUS: " "}
+_FLIP = {PLUS: MINUS, MINUS: PLUS}
+# The same for the JSON form, as json.dumps writes it; token for token,
+# it is the text form with other spellings.
+_JSON_OPENS = {l: f'{{"label": "{l}", "left": ' for l in (PLUS, MINUS)}
+_JSON_MIDS = {l: ', "right": ' for l in (PLUS, MINUS)}
+_JSON_AS_TEXT = [(_JSON_OPENS[l], _OPENS[l]) for l in (PLUS, MINUS)] + [
+    (_JSON_MIDS[PLUS], _MIDS[PLUS]), ("null", "_"), ("}", ")")]
+
+
+def _chain_walk(ix: Index) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The right chains of an indexed tree, and the chain of each id.
+
+    Chains are tuples of in-order ids, terminal first, ordered by their
+    terminals.  A chain's nodes follow its terminal in in-order, so a scan
+    over the ids meets each chain first at its terminal, and follows the
+    right links from there.
+    """
+    right = ix.right
+    chain_of = [0] * len(right)
+    chains = []
+    for t in range(1, len(right)):
+        if chain_of[t]:
+            continue
+        c = len(chains) + 1
+        chain_of[t] = c
+        nodes = [t]
+        v = right[t]
+        while v:
+            chain_of[v] = c
+            nodes.append(v)
+            v = right[v]
+        chains.append(tuple(nodes))
+    return tuple(chains), chain_of
 
 
 def _validate(ix: Index) -> None:
@@ -187,7 +220,7 @@ class DiskTree:
         return self._cache["labels"]
 
     def n_minus(self) -> int:
-        return sum(1 for l in self.labels() if l == MINUS)
+        return self.labels().count(MINUS)
 
     def minus_positions(self) -> frozenset[int]:
         return frozenset(i for i, l in enumerate(self.labels(), 1) if l == MINUS)
@@ -197,27 +230,32 @@ class DiskTree:
         ix = self._index()
         return ix.left, ix.right, ix.parent
 
+    def _walk(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        walk = self._cache.get("walk")
+        if walk is None:
+            walk = self._cache["walk"] = _chain_walk(self._index())
+        return walk
+
+    def chain_nodes(self) -> tuple[tuple[int, ...], ...]:
+        """In-order ids of each right chain, terminal first, in chain order.
+
+        One walk, cached on the tree.  It is all that family membership
+        reads, and the first step of ``right_chains``.
+        """
+        return self._walk()[0]
+
     def right_chains(self) -> RightChainView:
-        """Decompose into right chains with order, level, lock/hang, groups."""
+        """Decompose into right chains with order, level, lock/hang, groups.
+
+        The chains come from ``chain_nodes``; levels, groups and the
+        lock/hang attachments are built here, on the first call, and
+        cached.  Only the bijection's searches need them.
+        """
         if "chains" in self._cache:
             return self._cache["chains"]
         labels = self.labels()
         left, right, parent = self._arrays()
-        m = self.size
-
-        terminals = [
-            v for v in range(1, m + 1) if parent[v] == 0 or left[parent[v]] == v
-        ]
-        terminals.sort()
-        raw_chains = []
-        chain_of = [0] * (m + 1)
-        for idx, t in enumerate(terminals, 1):
-            nodes = [t]
-            while right[nodes[-1]]:
-                nodes.append(right[nodes[-1]])
-            for v in nodes:
-                chain_of[v] = idx
-            raw_chains.append(tuple(nodes))
+        raw_chains, chain_of = self._walk()
 
         # Levels and groups: lock keeps both, hang descends and opens a group.
         # Parents come first in reversed post-order, so the chain a terminal
@@ -276,13 +314,11 @@ class DiskTree:
         )
         view = RightChainView(tuple(chains), groups)
         self._cache["chains"] = view
-        self._cache["chain_of"] = tuple(chain_of)
         return view
 
     def chain_index_of(self, node_id: int) -> int:
         """Chain (1-based index in chain order) containing the given node."""
-        self.right_chains()
-        chain_of = self._cache["chain_of"]
+        chain_of = self._walk()[1]
         if not 1 <= node_id < len(chain_of):
             raise KeyError(node_id)
         return chain_of[node_id]
@@ -297,12 +333,12 @@ class DiskTree:
         return Permutation(index_values(self._index()))
 
     def shape(self) -> "TreeShape":
-        def strip(node: TreeNode) -> ShapeNode:
-            if node is None:
-                return None
-            return (strip(node[1]), strip(node[2]))
-
-        return TreeShape(strip(self.root))
+        ix = self._index()
+        left, right = ix.left, ix.right
+        out: list[ShapeNode] = [None] * len(left)
+        for v in ix.post:
+            out[v] = (out[left[v]], out[right[v]])
+        return TreeShape(out[ix.post[-1]] if ix.post else None)
 
     def flip_chain(self, i: int) -> "DiskTree":
         """Reverse every label on the i-th right chain (1-based chain order).
@@ -310,24 +346,14 @@ class DiskTree:
         An involution; flips on different chains commute, so the orbit of a
         tree under all of them has size 2^r.
         """
-        view = self.right_chains()
-        if not 1 <= i <= view.r:
-            raise ValueError(f"chain index {i} out of range 1..{view.r}")
-        targets = set(view.chains[i - 1].nodes)
-        counter = [0]
-
-        def rebuild(node: TreeNode) -> TreeNode:
-            if node is None:
-                return None
-            lab, l, r = node
-            nl = rebuild(l)
-            counter[0] += 1
-            if counter[0] in targets:
-                lab = PLUS if lab == MINUS else MINUS
-            nr = rebuild(r)
-            return (lab, nl, nr)
-
-        return DiskTree(rebuild(self.root), _validate_labels=False)
+        chains = self.chain_nodes()
+        if not 1 <= i <= len(chains):
+            raise ValueError(f"chain index {i} out of range 1..{len(chains)}")
+        labels = [None, *self.labels()]
+        for v in chains[i - 1]:
+            labels[v] = _FLIP[labels[v]]
+        ix = self._index()
+        return DiskTree._from_index(ix._replace(nodes=rebuild(ix, None, labels)))
 
     # -- serialization ----------------------------------------------------
 
@@ -351,15 +377,9 @@ class DiskTree:
         return out[ix.post[-1]] if ix.post else None
 
     def to_json(self) -> str:
-        """JSON text of ``to_json_obj``.
-
-        Raises InvalidTreeError when the tree is nested deeper than the
-        ``json`` module can encode (about a thousand levels).
-        """
-        try:
-            return json.dumps(self.to_json_obj())
-        except RecursionError:
-            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
+        """JSON text of ``to_json_obj``, as ``json.dumps`` writes it, at any
+        depth."""
+        return render(self._index(), "null", _JSON_OPENS, _JSON_MIDS, "}")
 
     @classmethod
     def from_json_obj(cls, obj) -> "DiskTree":
@@ -374,11 +394,27 @@ class DiskTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DiskTree":
-        """Read the JSON form; each object is checked as it is decoded."""
+        """Read the JSON form; each object is checked as it is decoded.
+
+        Past the depth where the ``json`` module gives up (it recurses once
+        per level, about a thousand), the text ``to_json`` writes is still
+        read, as the text form it spells token for token; any other JSON
+        that deep raises InvalidTreeError.
+        """
         try:
             root = json.loads(text, object_hook=_json_node)
         except RecursionError:
-            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
+            spelled = written = text.strip()
+            for old, new in _JSON_AS_TEXT:
+                spelled = spelled.replace(old, new)
+            try:
+                tree = cls.parse(spelled)
+            except InvalidTreeError:
+                tree = None
+            if tree is None or tree.to_json() != written:
+                raise InvalidTreeError(
+                    f"{TOO_DEEP_FOR_JSON}, and not as to_json writes it") from None
+            return tree
         if root is not None and type(root) is not tuple:
             raise InvalidTreeError(f"a tree is a node object or null, not {root!r}")
         return cls(root, _validate_labels=False)
@@ -406,33 +442,30 @@ class TreeShape:
 
     structure: ShapeNode
 
+    def _index(self) -> Index:
+        return index(self.structure, None, 0)
+
     @property
     def size(self) -> int:
-        def count(node: ShapeNode) -> int:
-            if node is None:
-                return 0
-            return 1 + count(node[0]) + count(node[1])
-
-        return count(self.structure)
+        return len(self._index().nodes) - 1
 
     def key(self) -> str:
         """Preorder bitstring: '1' for a node, '0' for an empty subtree."""
         out: list[str] = []
-
-        def walk(node: ShapeNode) -> None:
+        stack = [self.structure]
+        while stack:
+            node = stack.pop()
             if node is None:
                 out.append("0")
-                return
-            out.append("1")
-            walk(node[0])
-            walk(node[1])
-
-        walk(self.structure)
+            else:
+                out.append("1")
+                stack += (node[1], node[0])
         return "".join(out)
 
     def chain_lengths(self) -> tuple[int, ...]:
-        """Right-chain lengths in chain order (a composition of size)."""
-        return _shape_chain_lengths(self.structure)
+        """Right-chain lengths in chain order (a composition of size), from
+        the same chain walk as ``DiskTree.right_chains``."""
+        return tuple(map(len, _chain_walk(self._index())[0]))
 
     @property
     def r(self) -> int:
@@ -447,96 +480,21 @@ class TreeShape:
         return sum(1 for l in self.chain_lengths() if l % 2 == 0)
 
     def labelings(self) -> Iterator[DiskTree]:
-        """All 2^r di-sk trees with this shape (choose each chain's start)."""
-        lengths = self.chain_lengths()
-        for mask in range(1 << len(lengths)):
-            starts = [PLUS if (mask >> i) & 1 == 0 else MINUS for i in range(len(lengths))]
-            yield _label_shape(self.structure, starts)
+        """All 2^r di-sk trees with this shape (choose each chain's start).
 
-
-def _shape_chain_lengths(structure: ShapeNode) -> tuple[int, ...]:
-    # In-order ids, then the same chain walk as for labeled trees.
-    nodes: list[tuple] = []        # (id, node) in in-order
-    left_of: dict[int, int] = {}
-    right_of: dict[int, int] = {}
-    parent_of: dict[int, int] = {}
-    counter = [0]
-
-    def walk(node: ShapeNode) -> int:
-        if node is None:
-            return 0
-        lid = walk(node[0])
-        counter[0] += 1
-        me = counter[0]
-        rid = walk(node[1])
-        left_of[me], right_of[me] = lid, rid
-        if lid:
-            parent_of[lid] = me
-        if rid:
-            parent_of[rid] = me
-        return me
-
-    walk(structure)
-    m = counter[0]
-    lengths = []
-    for v in range(1, m + 1):
-        p = parent_of.get(v, 0)
-        if p == 0 or left_of[p] == v:
-            length = 1
-            w = v
-            while right_of[w]:
-                w = right_of[w]
-                length += 1
-            lengths.append((v, length))
-    lengths.sort()
-    return tuple(l for _, l in lengths)
-
-
-def _label_shape(structure: ShapeNode, chain_starts: list[str]) -> DiskTree:
-    """Label a shape given each chain's starting label (in chain order)."""
-    # First pass decides each node's label in in-order-id space: a chain
-    # terminal takes its chain's start, later chain nodes alternate.
-    label_of: dict[int, str] = {}
-    terminals: list[int] = []
-    counter = [0]
-
-    def assign(node: ShapeNode, incoming: Optional[str], chain_rank_of: dict[int, int]) -> None:
-        if node is None:
-            return
-        # In-order: left subtree first (each left child starts a chain).
-        assign(node[0], None, chain_rank_of)
-        counter[0] += 1
-        me = counter[0]
-        if incoming is None:
-            terminals.append(me)
-            # The discovery pass has no ranks yet; any placeholder works.
-            lab = chain_starts[chain_rank_of[me]] if chain_rank_of else PLUS
-        else:
-            lab = PLUS if incoming == MINUS else MINUS
-        label_of[me] = lab
-        assign(node[1], lab, chain_rank_of)
-
-    # Two passes: the first discovers which in-order ids are terminals, the
-    # second knows each terminal's chain rank and can fill real labels.
-    assign(structure, None, {})
-    ranks = {t: r for r, t in enumerate(sorted(terminals))}
-    label_of.clear()
-    terminals.clear()
-    counter[0] = 0
-    assign(structure, None, ranks)
-
-    counter[0] = 0
-
-    def build(node: ShapeNode) -> TreeNode:
-        if node is None:
-            return None
-        l = build(node[0])
-        counter[0] += 1
-        lab = label_of[counter[0]]
-        r = build(node[1])
-        return (lab, l, r)
-
-    return DiskTree(build(structure), _validate_labels=False)
+        Bit i of the mask sets chain i's start, ``+`` for 0; labels then
+        alternate down each chain.
+        """
+        ix = self._index()
+        chains = _chain_walk(ix)[0]
+        for mask in range(1 << len(chains)):
+            labels: list = [None] * len(ix.left)
+            for i, nodes in enumerate(chains):
+                label = MINUS if (mask >> i) & 1 else PLUS
+                for v in nodes:
+                    labels[v] = label
+                    label = _FLIP[label]
+            yield DiskTree._from_index(ix._replace(nodes=rebuild(ix, None, labels)))
 
 
 def word_to_tree(w: SchroderWord) -> DiskTree:
@@ -602,12 +560,36 @@ def _gen_trees(m: int, forbidden_root: str | None) -> tuple[TreeNode, ...]:
     return tuple(out)
 
 
-def enumerate_trees(n: int) -> Iterator[DiskTree]:
-    """All di-sk trees with n-1 nodes, large-Schröder many.
+@lru_cache(maxsize=None)
+def _by_minus_count(m: int) -> tuple[tuple[TreeNode, ...], ...]:
+    """The roots of ``_gen_trees(m, None)`` by their number of ``-``
+    labels (entry k holds those with k), in enumeration order.  The entries
+    are the memoized roots themselves, not copies."""
+    buckets: list[list[TreeNode]] = [[] for _ in range(m + 1)]
+    for root in _gen_trees(m, None):
+        count, stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                if node[0] == MINUS:
+                    count += 1
+                stack += (node[1], node[2])
+        buckets[count].append(root)
+    return tuple(map(tuple, buckets))
+
+
+def enumerate_trees(n: int, n_minus: Optional[int] = None) -> Iterator[DiskTree]:
+    """All di-sk trees with n-1 nodes, large-Schröder many; with
+    ``n_minus``, only those with that many ``-`` labels, in the same order.
 
     Alternation is enforced locally: a right child never repeats its
-    parent's label.
+    parent's label.  The trees of each order are generated once, and
+    bucketed by minus count once, per process.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return (DiskTree(t, _validate_labels=False) for t in _gen_trees(n - 1, None))
+    if n_minus is None:
+        roots = _gen_trees(n - 1, None)
+    else:
+        roots = _by_minus_count(n - 1)[n_minus] if 0 <= n_minus < n else ()
+    return (DiskTree(t, _validate_labels=False) for t in roots)

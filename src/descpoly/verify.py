@@ -17,6 +17,7 @@ time is excluded from the JSON form.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -419,7 +420,15 @@ def verify_suite(name: str, max_n: Optional[int] = None) -> VerificationReport:
 
 
 class PolyCache:
-    """One small JSON file per (family, n); diffable and auditable."""
+    """One small JSON file per (family, n); diffable and auditable.
+
+    A stored entry is served only when its ``format_version``, ``family``
+    and ``n`` fields match, its coefficients are integers, its degree is
+    below n, and, for S, it is palindromic of darga n - 1.  Otherwise it
+    counts as a miss: the polynomial is recomputed and the file rewritten.
+    Writes go through a temporary file in the same directory and
+    ``os.replace``, so a reader never sees half a file.
+    """
 
     FORMAT_VERSION = 1
     FAMILIES = {
@@ -440,21 +449,45 @@ class PolyCache:
         if family not in self.FAMILIES:
             raise KeyError(f"unknown family {family!r}")
         p = self.path(family, n)
-        if p.exists():
-            data = json.loads(p.read_text())
-            if data.get("format_version") == self.FORMAT_VERSION:
-                return IntPolynomial.from_json(data["coeffs"])
+        poly = self._read(p, family, n)
+        if poly is not None:
+            return poly
         poly = self.FAMILIES[family](n)
         self.directory.mkdir(parents=True, exist_ok=True)
-        p.write_text(
-            json.dumps(
-                {
-                    "format_version": self.FORMAT_VERSION,
-                    "family": family,
-                    "n": n,
-                    "coeffs": poly.to_json(),
-                },
-                indent=1,
+        tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(
+                json.dumps(
+                    {
+                        "format_version": self.FORMAT_VERSION,
+                        "family": family,
+                        "n": n,
+                        "coeffs": poly.to_json(),
+                    },
+                    indent=1,
+                )
             )
-        )
+            os.replace(tmp, p)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return poly
+
+    def _read(self, p: Path, family: str, n: int) -> Optional[IntPolynomial]:
+        """The stored polynomial, or None for a missing or bad entry."""
+        try:
+            data = json.loads(p.read_text())
+        except (OSError, ValueError, RecursionError):
+            return None
+        if not (isinstance(data, dict)
+                and data.get("format_version") == self.FORMAT_VERSION
+                and data.get("family") == family
+                and type(data.get("n")) is int and data["n"] == n):
+            return None
+        coeffs = data.get("coeffs")
+        if (type(coeffs) is not list or len(coeffs) > n
+                or any(type(c) is not int for c in coeffs)):
+            return None
+        poly = IntPolynomial(coeffs)
+        if family == "S" and not is_palindromic(poly, n - 1):
+            return None
         return poly

@@ -1,12 +1,15 @@
 """The gamma bijection: fixtures, exhaustive inverses, order independence."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from descpoly.bijection import (
     FamilyError,
+    InvariantError,
     Violation,
     bijection_certificate,
     classify,
@@ -187,3 +190,65 @@ def test_single_site_instances_trivially_order_independent():
     t = DiskTree.parse("(- (+ _ _) _)")
     assert len(psi_plan(t)) == 1
     assert order_independence_certificate(t, trials=3, seed=0)
+
+
+def _certificate_by_direct_loop(n, k):
+    """The certificate's counts and histogram the plain way: every tree
+    classified at k, and each member's plan taken on its own."""
+    dt1 = dt2 = 0
+    histogram = {}
+    for t in enumerate_trees(n):
+        m = classify(t, k)
+        plans = []
+        if m.in_dt2:
+            dt2 += 1
+            plans.append(psi_plan(t))
+        if m.in_dt1:
+            dt1 += 1
+            plans.append(phi_plan(t))
+        for plan in plans:
+            for op in plan:
+                histogram[op.case] = histogram.get(op.case, 0) + 1
+    return dt1, dt2, dict(sorted(histogram.items()))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_certificate_equals_a_direct_loop(n):
+    for k in range((n - 1) // 2 + 1):
+        cert = bijection_certificate(n, k)
+        assert cert["bijection_ok"]
+        got = (cert["dt1_count"], cert["dt2_count"], cert["case_histogram"])
+        assert got == _certificate_by_direct_loop(n, k), (n, k)
+
+
+def test_invariant_error_is_an_assertion_error():
+    assert issubclass(InvariantError, AssertionError)
+
+
+# A move that cuts node 1 and puts it back where it was: apply_ops accepts
+# it, and psi's post-condition must catch that the image is not in family
+# one, also with assert statements stripped.
+_WRONG_MOVE_UNDER_O = """
+import sys
+import descpoly.bijection as b
+from descpoly.trees import DiskTree
+
+assert sys.flags.optimize == 1
+assert False, "assert statements run"
+b.psi_plan = lambda tree: [b.SurgeryOp(1, "lock-left", 2, "I")]
+try:
+    b.psi(DiskTree.parse("(- (+ _ _) _)"))
+except b.InvariantError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
+
+
+def test_psi_post_condition_holds_under_python_O():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_MOVE_UNDER_O],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: psi lands in family one")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descpoly.permutations import Permutation, is_separable, parse_permutation
-from descpoly.trees import DiskTree, word_to_tree
+from descpoly.trees import DiskTree, InvalidTreeError, word_to_tree
 from descpoly.words import NotSeparableError, SchroderWord, sweep, word_to_perm
 
 BIG = 10**5
@@ -155,3 +155,73 @@ def test_round_trips_on_random_separable_permutations(n, rng):
     assert parsed.to_perm() == p
     assert DiskTree.from_json(tree.to_json()).to_text() == tree_text
     assert is_separable(p)
+
+
+def _left_comb_tree(m):
+    """(+ (+ ... (+ _ _) _) _): m '+' nodes, each a chain of its own."""
+    return DiskTree.parse("(+ " * m + "_" + " _)" * m)
+
+
+def _right_comb_tree(m):
+    """(+ _ (- _ (+ _ ...))): one alternating chain of m nodes."""
+    labels = ["+-"[d % 2] for d in range(m)]
+    return DiskTree.parse("".join(f"({l} _ " for l in labels) + "_" + ")" * m)
+
+
+def test_shape_walks_on_combs_of_1e4():
+    m = 10**4
+    left = _left_comb_tree(m).shape()
+    assert left.chain_lengths() == (1,) * m
+    assert left.size == m and left.key() == "1" * m + "0" * (m + 1)
+    right = _right_comb_tree(m).shape()
+    assert right.chain_lengths() == (m,)
+    assert right.key() == "10" * m + "0"
+    labelings = list(right.labelings())
+    assert [t.to_text() for t in labelings] == [
+        _right_comb_tree(m).to_text(), _right_comb_tree(m).flip_chain(1).to_text()]
+
+
+def test_flip_chain_on_combs_of_1e4():
+    m = 10**4
+    right = _right_comb_tree(m)
+    flipped = right.flip_chain(1)
+    assert flipped.labels() == tuple("-+"[d % 2] for d in range(m))
+    assert flipped.flip_chain(1).to_text() == right.to_text()
+    left = _left_comb_tree(m)
+    # chain i of the left comb is its i-th node in in-order
+    once = left.flip_chain(m)
+    assert once.labels() == ("+",) * (m - 1) + ("-",)
+    assert once.to_text() == "(- " + "(+ " * (m - 1) + "_" + " _)" * m
+
+
+def _deep_json(m, inner="null", spacing=" "):
+    """m nested left children around ``inner``; with one space, the text
+    to_json writes."""
+    s = spacing
+    return f'{{"label":{s}"+",{s}"left":{s}' * m + inner + f',{s}"right":{s}null}}' * m
+
+
+def test_json_form_at_depth():
+    for tree in (_left_comb_tree(10**4), _right_comb_tree(10**4)):
+        text = tree.to_json()
+        assert DiskTree.from_json(text).to_text() == tree.to_text()
+    comb = DiskTree.from_json(_deep_json(3000) + "\n")
+    assert comb.to_text() == _left_comb_tree(3000).to_text()
+
+
+@pytest.mark.parametrize("text", [
+    # other JSON for the same tree than to_json writes
+    _deep_json(3000, spacing=""),
+    _deep_json(3000, '{"label": "-", "left": null, "right": null, "note": 1}'),
+    # not trees
+    _deep_json(3000, '{"label": "+", "left": null}'),
+    _deep_json(3000, '{"label": "*", "left": null, "right": null}'),
+    _deep_json(3000, "[1]"),
+    _deep_json(3000, "_"),
+    _deep_json(3000, "(+ _ _)"),
+    _deep_json(3000)[:-1],
+    _deep_json(3000) + "}",
+])
+def test_json_form_past_the_json_module_is_only_what_to_json_writes(text):
+    with pytest.raises(InvalidTreeError, match="deeper than the json module"):
+        DiskTree.from_json(text)

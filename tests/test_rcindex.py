@@ -103,3 +103,17 @@ def test_json_form():
     obj = rc_index(4).to_json_obj()
     assert obj["n"] == 4
     assert {"factors": [2, 1], "mult": 2} in obj["terms"]
+
+
+def test_gamma_from_shapes_equals_a_count_over_labelings():
+    # Independent of rc_index: every labeling of every shape, from its own
+    # right_chains, counted at its minus count when its odd chains all
+    # start '+' (family one); each shape contributes 2^(even chains).
+    for n in range(1, 10):
+        counts = [0] * ((n - 1) // 2 + 1)
+        for shape in enumerate_shapes(n):
+            for tree in shape.labelings():
+                chains = tree.right_chains().chains
+                if all(c.starts_with == "+" for c in chains if c.is_odd):
+                    counts[tree.n_minus()] += 1
+        assert [gamma_from_shapes(n, k) for k in range(len(counts))] == counts, n

@@ -1,6 +1,7 @@
 """Di-sk trees: chain views, flips, shapes, conversions, serialization."""
 
 import itertools
+import json
 
 import pytest
 
@@ -205,6 +206,7 @@ def test_text_serialization_roundtrip():
         for t in enumerate_trees(n):
             assert DiskTree.parse(t.to_text()) == t
             assert DiskTree.from_json(t.to_json()) == t
+            assert t.to_json() == json.dumps(t.to_json_obj())
 
 
 @pytest.mark.parametrize("text, message", [
@@ -234,3 +236,27 @@ def test_empty_tree():
     assert t.to_text() == "_"
     assert DiskTree.parse("_") == t
     assert t.right_chains().r == 0
+
+
+def test_minus_count_buckets_keep_order_and_share_roots():
+    for n in range(1, 8):
+        trees = list(enumerate_trees(n))
+        seen = 0
+        for k in range(n):
+            bucket = list(enumerate_trees(n, n_minus=k))
+            expected = [t for t in trees if t.n_minus() == k]
+            assert [t.root for t in bucket] == [t.root for t in expected]
+            # the memoized roots themselves, not copies
+            assert all(a.root is b.root for a, b in zip(bucket, expected))
+            seen += len(bucket)
+        assert seen == len(trees)
+        assert list(enumerate_trees(n, n_minus=n)) == []
+        assert list(enumerate_trees(n, n_minus=-1)) == []
+
+
+def test_chain_nodes_are_the_chains_of_the_view():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            assert t.chain_nodes() == tuple(c.nodes for c in t.right_chains().chains)
+            for c in t.right_chains().chains:
+                assert all(t.chain_index_of(v) == c.index for v in c.nodes)

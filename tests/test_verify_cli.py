@@ -76,6 +76,50 @@ def test_cache_rejects_unknown_family(tmp_path):
         PolyCache(tmp_path).get("Z", 3)
 
 
+# Each edit leaves a file that parses; the cache must not serve it.
+BAD_ENTRIES = {
+    "format_version": lambda d: d.update(format_version=0),
+    "family": lambda d: d.update(family="D"),
+    "n": lambda d: d.update(n=4),
+    "n-not-an-integer": lambda d: d.update(n=5.0),
+    "float-coefficient": lambda d: d["coeffs"].__setitem__(1, 20.0),
+    "string-coefficient": lambda d: d["coeffs"].__setitem__(1, "20"),
+    "bool-coefficient": lambda d: d["coeffs"].__setitem__(0, True),
+    "coeffs-not-a-list": lambda d: d.update(coeffs="1,20,48,20,1"),
+    "degree-n": lambda d: d["coeffs"].append(1),
+    "not-palindromic": lambda d: d.update(coeffs=[7, 7]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_ENTRIES))
+def test_cache_recomputes_and_rewrites_a_bad_entry(tmp_path, edit):
+    cache = PolyCache(tmp_path)
+    good = cache.get("S", 5)
+    path = cache.path("S", 5)
+    stored = path.read_text()
+    data = json.loads(stored)
+    BAD_ENTRIES[edit](data)
+    path.write_text(json.dumps(data))
+    assert cache.get("S", 5) == good == separable_poly(5)
+    assert path.read_text() == stored
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["S_5.json"]
+
+
+@pytest.mark.parametrize("content", ["", "{", "[1, 20, 48, 20, 1]", "null"])
+def test_cache_recomputes_an_unreadable_entry(tmp_path, content):
+    cache = PolyCache(tmp_path)
+    cache.path("D", 6).write_text(content)
+    assert cache.get("D", 6) == derangement_poly(6)
+    assert json.loads(cache.path("D", 6).read_text())["family"] == "D"
+
+
+def test_cli_serves_no_bad_cache_entry(tmp_path, capsys):
+    (tmp_path / "S_5.json").write_text(
+        json.dumps({"format_version": 1, "family": "S", "n": 5, "coeffs": [7, 7]}))
+    assert main(["--cache-dir", str(tmp_path), "poly", "S", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "1+20t+48t^2+20t^3+t^4"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -218,3 +262,46 @@ def test_cli_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "16t+104t^2+120t^3+24t^4+t^5"
+
+
+def _left_comb_text(m):
+    return "(+ " * m + "_" + " _)" * m
+
+
+def _left_comb_json(m):
+    return '{"label": "+", "left": ' * m + "null" + ', "right": null}' * m
+
+
+@pytest.mark.parametrize("form", ["txt", "json"])
+def test_cli_bij_on_a_deep_left_comb(tmp_path, form):
+    # 1500 levels: past the interpreter's recursion limit and the json
+    # module's depth.  The comb is in both families, so phi maps it to
+    # itself.
+    text = _left_comb_text(1500)
+    tree_file = tmp_path / f"comb.{form}"
+    tree_file.write_text(text if form == "txt" else _left_comb_json(1500))
+    for fmt in ("text", "json"):
+        result = subprocess.run(
+            [sys.executable, "-m", "descpoly", "--format", fmt, "bij", "phi",
+             "--tree", str(tree_file)],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        out = result.stdout.strip()
+        assert (out if fmt == "text" else json.loads(out)["output"]) == text
+
+
+def test_cli_bij_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
+    import descpoly.bijection as bijection
+
+    # A planner move that puts node 1 back where it was: the image is not
+    # in family one, and psi's post-condition says so.
+    monkeypatch.setattr(bijection, "psi_plan",
+                        lambda tree: [bijection.SurgeryOp(1, "lock-left", 2, "I")])
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("(- (+ _ _) _)")
+    assert main(["bij", "psi", "--tree", str(tree_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: psi lands in family one")
+    assert captured.err.count("\n") == 1
