@@ -33,7 +33,8 @@ from .bijection import (
     psi,
 )
 from .families import (
-    brute_force_cap,
+    BRUTE_FORCE_CAP,
+    ResourceCapError,
     catalan,
     complement_poly,
     complement_spiral_report,
@@ -49,7 +50,6 @@ from .families import (
     separable_gamma,
     separable_poly,
     separable_split,
-    set_brute_force_cap,
     spiral_report,
     verify_series_identity,
 )

@@ -365,7 +365,7 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
         if right[v]:
             order.append(right[v])
     order.reverse()
-    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order), None)[root])
+    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order))[root])
 
 
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:

@@ -13,7 +13,10 @@ Subcommands:
     verify <suite> [--max-n N]         run a verification suite
 
 Exit codes: 0 success, 1 check failure (including a non-separable input to
-``sweep``), 2 usage or domain error, 3 resource cap exceeded.
+``sweep``), 2 usage or domain error, 3 resource cap exceeded: enumeration
+past the brute-force cap (``poly ... --method enum``, ``gamma N``) or an
+rc-index past its ceiling.  Exit 3 prints one ``error:`` line on stderr
+and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -153,9 +156,6 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    if args.method == "enum" and args.n > families.brute_force_cap():
-        print(f"enumeration capped at n = {families.brute_force_cap()}", file=sys.stderr)
-        return EXIT_RESOURCE
     if args.cache_dir is not None and args.method == "rec":
         poly = PolyCache(args.cache_dir).get(args.family, args.n)
     else:
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         # A library check failed: the answer cannot be trusted.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except families.ResourceCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, KeyError, OSError, InvalidWordError, InvalidTreeError,
             FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

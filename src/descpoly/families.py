@@ -11,7 +11,10 @@ All polynomials live in exact integer arithmetic:
 * ``gamma_poly(n)``        - the gamma polynomial of S_n(t) in x.
 
 Each family satisfies a defining recurrence, and the enumeration methods
-recompute small cases from scratch as independent oracles.
+recompute small cases from scratch as independent oracles, up to
+``BRUTE_FORCE_CAP``.  Each recurrence asks for the orders below n in
+increasing order, so every memo miss finds the orders below it cached and
+the recursion stays a few calls deep at any n.
 
 The derangement coefficients satisfy, with the boundary value d(n, n-1)
 equal to 1 for even n and 0 for odd n,
@@ -37,29 +40,20 @@ from .permutations import (
 )
 from .polynomials import GammaVector, IntPolynomial, binomial, gamma_decompose
 
-DEFAULT_BRUTE_FORCE_CAP = 8
-MAX_BRUTE_FORCE_CAP = 10
-
-_brute_force_cap = DEFAULT_BRUTE_FORCE_CAP
+# Largest n that the enumeration oracles run at.
+BRUTE_FORCE_CAP = 8
 
 ONE_PLUS_T = IntPolynomial((1, 1))
 
 
-def brute_force_cap() -> int:
-    return _brute_force_cap
-
-
-def set_brute_force_cap(n: int) -> None:
-    """Raise (or lower) the enumeration cutoff; hard ceiling of 10."""
-    global _brute_force_cap
-    if not 1 <= n <= MAX_BRUTE_FORCE_CAP:
-        raise ValueError(f"cap must lie in 1..{MAX_BRUTE_FORCE_CAP}, got {n}")
-    _brute_force_cap = n
+class ResourceCapError(ValueError):
+    """Raised for a request past a fixed resource cap: enumeration past
+    ``BRUTE_FORCE_CAP``, or an rc-index past its ceiling."""
 
 
 def _check_cap(n: int) -> None:
-    if n > _brute_force_cap:
-        raise ValueError(f"enumeration capped at n = {_brute_force_cap}, got {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"enumeration capped at n = {BRUTE_FORCE_CAP}, got {n}")
 
 
 def catalan(n: int) -> int:
@@ -141,12 +135,15 @@ def separable_split(n: int) -> tuple[IntPolynomial, IntPolynomial]:
         raise ValueError("need n >= 1")
     if n == 1:
         return (IntPolynomial.one(), IntPolynomial.one())
+    splits = [None] * n  # splits[j] = (S^+_j, S^-_j) for 1 <= j < n
+    for j in range(1, n):
+        splits[j] = separable_split(j)
     plus = IntPolynomial.zero()
     minus = IntPolynomial.zero()
     t = IntPolynomial.t()
     for j in range(1, n):
         sj = separable_poly(j)
-        split = separable_split(n - j)
+        split = splits[n - j]
         plus = plus + sj * split[1]
         minus = minus + sj * split[0]
     return (plus, t * minus)
@@ -177,7 +174,7 @@ def separable_gamma(n: int) -> GammaVector:
 
 
 @lru_cache(maxsize=None)
-def gamma_poly(n: int) -> IntPolynomial:
+def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Gamma polynomial of S_n(t) as a polynomial in x.
 
     Satisfies the same convolution recurrence as S_n with (1+t) replaced by
@@ -185,18 +182,28 @@ def gamma_poly(n: int) -> IntPolynomial:
 
     >>> gamma_poly(6).coeffs
     (1, 30, 61)
+
+    ``"enum"`` counts the separable permutations with no double descent
+    by descents (``separable_gamma_histogram``).
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if method == "enum":
+        return separable_gamma_histogram(n)
+    if method != "recurrence":
+        raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return IntPolynomial.one()
+    g = [None] * n  # g[j] = Gamma_j for 1 <= j < n
+    for j in range(1, n):
+        g[j] = gamma_poly(j)
     x = IntPolynomial.t()
-    acc = gamma_poly(n - 1)
+    acc = g[n - 1]
     for j in range(1, n - 1):
-        inner = gamma_poly(n - j - 1)
+        inner = g[n - j - 1]
         for i in range(1, n - j):
-            inner = inner + gamma_poly(i) * gamma_poly(n - j - i)
-        acc = acc + x * gamma_poly(j) * inner
+            inner = inner + g[i] * g[n - j - i]
+        acc = acc + x * g[j] * inner
     return acc
 
 
@@ -252,7 +259,8 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return IntPolynomial.zero()
-    prev = derangement_poly(n - 1)
+    for m in range(1, n):
+        prev = derangement_poly(m)
     coeffs = [0] * n
     coeffs[n - 1] = 1 if n % 2 == 0 else 0
     for k in range(n - 1):
@@ -275,7 +283,8 @@ def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return IntPolynomial.one()
-    prev = eulerian_poly(n - 1)
+    for m in range(1, n):
+        prev = eulerian_poly(m)
     t = IntPolynomial.t()
     return (
         IntPolynomial((1, n - 1)) * prev
@@ -300,7 +309,8 @@ def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return IntPolynomial.one()
-    prev = complement_poly(n - 1)
+    for m in range(1, n):
+        prev = complement_poly(m)
     t = IntPolynomial.t()
     extra = IntPolynomial.monomial(n - 1, (-1) ** (n - 1))
     return (

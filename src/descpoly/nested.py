@@ -1,21 +1,22 @@
 """Binary trees of ``(label, left, right)`` triples, walked without recursion.
 
-Schröder-word expressions and di-sk trees are the same nested triples; they
-differ only in the empty subtree, the atom ``"1"`` of a word and ``None``
-in a tree; unlabeled tree shapes are ``(left, right)`` pairs over ``None``.
-Every walker over any of them goes through :func:`index`, one
+A Schröder word's expression and a di-sk tree are one and the same value:
+nested ``(label, left, right)`` tuples with ``None`` for an empty subtree.
+The word's atom ``1`` and the tree's ``_`` are only how the two text forms
+spell ``None``.  Unlabeled tree shapes are ``(left, right)`` pairs over
+``None``.  Every walker over any of them goes through :func:`index`, one
 explicit-stack pass that numbers the nodes by in-order and records the
 links between them.  The other helpers here are plain loops over that
 record, so no walker recurses and inputs of any depth take linear time.
-
-Nodes are compared with the empty marker by identity.  ``None`` is a
-singleton, and CPython keeps one object for every one-character string, so
-this holds for the atom ``"1"`` however the expression was built.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from itertools import islice
+from typing import Any, NamedTuple, Optional, Sequence
+
+# A (label, left, right) node, or None for the empty subtree.
+Node = Optional[tuple]
 
 # Marks a ')' on the parser's stack.
 _CLOSE = object()
@@ -24,7 +25,7 @@ _CLOSE = object()
 class Index(NamedTuple):
     """A tree numbered 1..m by in-order; 0 stands for an empty subtree.
 
-    ``nodes[i]`` is the i-th node (``nodes[0]`` is the empty marker),
+    ``nodes[i]`` is the i-th node (``nodes[0]`` is None),
     ``left``, ``right`` and ``parent`` hold in-order ids, and ``post``
     lists the ids children first, so ``reversed(post)`` puts every parent
     before its children.
@@ -37,11 +38,11 @@ class Index(NamedTuple):
     post: list[int]
 
     @property
-    def root(self) -> Any:
-        return self.nodes[self.post[-1]] if self.post else self.nodes[0]
+    def root(self) -> Node:
+        return self.nodes[self.post[-1]] if self.post else None
 
 
-def index(root: Any, empty: Any, left_at: int = 1) -> Index:
+def index(root: Any, left_at: int = 1) -> Index:
     """Number the nodes of a tree by in-order, with an explicit stack.
 
     A node's children are its items ``left_at`` and ``left_at + 1``: 1 for
@@ -53,7 +54,7 @@ def index(root: Any, empty: Any, left_at: int = 1) -> Index:
     child is pushed; a left child's parent is the node popped right after
     the child's subtree is complete, which is when the climb below ends.
     """
-    nodes = [empty]
+    nodes = [None]
     left = [0]
     right = [0]
     parent = [0]
@@ -65,7 +66,7 @@ def index(root: Any, empty: Any, left_at: int = 1) -> Index:
     lo, hi = left_at, left_at + 1
     node, up, done, i = root, 0, 0, 0
     while True:
-        while node is not empty:
+        while node is not None:
             push((node, up))
             node, up = node[lo], 0
         if not stack:
@@ -73,7 +74,7 @@ def index(root: Any, empty: Any, left_at: int = 1) -> Index:
         node, up = pop()
         i += 1
         add_node(node)
-        if node[lo] is empty:
+        if node[lo] is None:
             add_left(0)
         else:
             add_left(done)
@@ -83,7 +84,7 @@ def index(root: Any, empty: Any, left_at: int = 1) -> Index:
         if up:
             right[up] = i
         node = node[hi]
-        if node is empty:
+        if node is None:
             # The subtree of i is complete, and with it every subtree that
             # i ends through right links; only right links are set yet.
             add_post(i)
@@ -105,12 +106,36 @@ def sizes(ix: Index) -> list[int]:
     return size
 
 
-def rebuild(ix: Index, empty: Any, labels: Sequence | None = None) -> list:
-    """Fresh triples of the same shape over another empty marker; entry i
-    is the subtree of id i (entry 0 is ``empty``).  Node i keeps its label,
-    or takes ``labels[i]`` when ``labels`` is given."""
+def check(root: Node, labels: tuple[str, ...], error: type[Exception]) -> Index:
+    """``index(root)`` of a tree that words and di-sk trees both accept.
+
+    Every node is a ``(label, left, right)`` tuple with a label from
+    ``labels``, and no right child repeats its parent's label: the
+    right-chain restriction of words is the alternation of di-sk trees.
+    Raises ``error`` otherwise.
+    """
+    malformed = "not a tree of (label, left, right) tuples over None"
+    try:
+        ix = index(root)
+    except (IndexError, KeyError, TypeError):
+        raise error(malformed) from None
+    for node in islice(ix.nodes, 1, None):
+        if node.__class__ is not tuple or len(node) != 3:
+            raise error(malformed)
+        label, _, right = node
+        if label not in labels:
+            raise error(f"bad label {label!r}")
+        if right is not None and right[0] == label:
+            raise error("right chain does not alternate")
+    return ix
+
+
+def rebuild(ix: Index, labels: Sequence | None = None) -> list:
+    """Fresh triples of the same shape; entry i is the subtree of id i
+    (entry 0 is None).  Node i keeps its label, or takes ``labels[i]``
+    when ``labels`` is given."""
     left, right = ix.left, ix.right
-    out = [empty] * len(left)
+    out = [None] * len(left)
     if labels is None:
         nodes = ix.nodes
         for v in ix.post:
@@ -146,16 +171,16 @@ def render(ix: Index, leaf: str, opens: dict, mids: dict, close: str = ")") -> s
     return "".join(out)
 
 
-def parse(tokens: Sequence[str], atom: str, empty: Any, labels: tuple[str, ...],
-          op_at: int, error: type[Exception]) -> Any:
+def parse(tokens: Sequence[str], atom: str, labels: tuple[str, ...],
+          op_at: int, error: type[Exception]) -> Node:
     """Build triples from ``( item item item )`` groups, without recursion.
 
     Inside a group the label is item ``op_at`` (0 or 1) and the other two
-    items are the subtrees, tuples or ``empty``, which ``atom`` stands
-    for.  A right child with its parent's label is refused, as both words
-    and di-sk trees require.  The tokens are read from the end with one
-    stack of values: ``)`` pushes a marker, ``(`` pops the group's three
-    items and its marker and pushes the node.
+    items are the subtrees, tuples or None, which ``atom`` stands for.
+    Only the grammar is checked here; alternation is left to ``check``.
+    The tokens are read from the end with one stack of values: ``)``
+    pushes a marker, ``(`` pops the group's three items and its marker and
+    pushes the node.
     """
     stack: list = []
     push, pop = stack.append, stack.pop
@@ -163,7 +188,7 @@ def parse(tokens: Sequence[str], atom: str, empty: Any, labels: tuple[str, ...],
     for tok in reversed(tokens):
         pos -= 1
         if tok == atom:
-            push(empty)
+            push(None)
         elif tok == ")":
             push(_CLOSE)
         elif tok == "(":
@@ -174,11 +199,9 @@ def parse(tokens: Sequence[str], atom: str, empty: Any, labels: tuple[str, ...],
                 raise error(f"group at offset {pos} does not hold three items")
             op, l = (a, b) if op_at == 0 else (b, a)
             if (op not in labels
-                    or not (l is empty or l.__class__ is tuple)
-                    or not (r is empty or r.__class__ is tuple)):
+                    or not (l is None or l.__class__ is tuple)
+                    or not (r is None or r.__class__ is tuple)):
                 raise error(f"group at offset {pos} is not a label and two subtrees")
-            if r is not empty and r[0] == op:
-                raise error(f"right child repeats the label {op!r} at offset {pos}")
             push((op, l, r))
         elif tok in labels:
             push(tok)

@@ -232,7 +232,7 @@ PATTERN_2413 = Permutation((2, 4, 1, 3))
 PATTERN_3142 = Permutation((3, 1, 4, 2))
 
 
-def separating_pass(word: Sequence[int], leaf=None, join=None) -> list:
+def separating_pass(word: Sequence[int], join=None) -> list:
     """Blocks left by one left-to-right stack pass over a permutation.
 
     This is the separating-tree construction of Bose, Buss and Lubiw
@@ -243,10 +243,10 @@ def separating_pass(word: Sequence[int], leaf=None, join=None) -> list:
     merge pops one block, so the pass is linear.  The word is separable,
     that is it avoids 2413 and 3142, exactly when one block is left.
 
-    Each block carries a part: ``leaf`` for a single entry, and
+    Each block carries a part: None for a single entry, and
     ``join(increasing, left_part, right_part)`` for a merge, where
     ``increasing`` says the left block holds the smaller values.  Without
-    ``join`` the parts stay ``leaf``; only their number matters then.
+    ``join`` the parts stay None; only their number matters then.
 
     >>> len(separating_pass((2, 1, 3))), len(separating_pass((2, 4, 1, 3)))
     (1, 4)
@@ -256,7 +256,7 @@ def separating_pass(word: Sequence[int], leaf=None, join=None) -> list:
     parts: list = []
     for v in word:
         a = b = v
-        part = leaf
+        part = None
         while lo:
             if hi[-1] + 1 == a:
                 increasing = True

@@ -26,10 +26,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
+from .families import ResourceCapError
 from .polynomials import IntPolynomial
 from .trees import TreeShape, enumerate_shapes
 
 NCMonomial = tuple[int, ...]
+
+# Largest order rc_index builds: it walks all C_{n-1} shapes, 742900 at
+# n = 14, and the count grows about fourfold per order.
+RC_INDEX_MAX_N = 14
 
 
 def monomial_of_shape(shape: TreeShape) -> NCMonomial:
@@ -143,9 +148,13 @@ def rc_index(n: int) -> RCIndex:
     'c_1^3 + c_1c_2 + 2c_2c_1 + c_3'
     >>> rc_index(4).evaluate(2)
     22
+
+    Raises ResourceCapError past ``RC_INDEX_MAX_N``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > RC_INDEX_MAX_N:
+        raise ResourceCapError(f"rc-index capped at n = {RC_INDEX_MAX_N}, got {n}")
     terms: dict[NCMonomial, int] = {}
     for shape in enumerate_shapes(n):
         mono = monomial_of_shape(shape)

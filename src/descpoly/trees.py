@@ -11,7 +11,10 @@ terminals' in-order indices.
 Di-sk trees with n-1 nodes are in bijection with Schröder words of n
 leaves (drop the leaves of the expression tree) and hence with separable
 permutations of n: the i-th in-order node is ``-`` exactly when i is a
-descent of the permutation.
+descent of the permutation.  Dropping the leaves changes no value: a
+word's expression and a tree's root are the same ``(label, left, right)``
+tuples over ``None`` (see ``nested``), so the conversions between words
+and trees share the value and its in-order numbering.
 
 Chains hinge together by left edges in two ways.  If the terminal of a
 later chain is the left child of an *earlier chain's terminal* the two
@@ -33,19 +36,15 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Optional
 
-from .nested import Index, index, parse, rebuild, render
+from .nested import Index, Node, check, index, parse, rebuild, render
 from .permutations import Permutation
 from .words import (
-    LEAF,
     MINUS,
     PLUS,
     SchroderWord,
     index_values,
     sweep,
 )
-
-# Tree nodes are frozen triples (label, left, right); None is the empty tree.
-TreeNode = Optional[tuple]
 
 # Unlabeled structures are frozen pairs (left, right); None is empty.
 ShapeNode = Optional[tuple]
@@ -96,14 +95,6 @@ def _chain_walk(ix: Index) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
             v = right[v]
         chains.append(tuple(nodes))
     return tuple(chains), chain_of
-
-
-def _validate(ix: Index) -> None:
-    for label, _, right in islice(ix.nodes, 1, None):
-        if label not in (PLUS, MINUS):
-            raise InvalidTreeError(f"bad label {label!r}")
-        if right is not None and right[0] == label:
-            raise InvalidTreeError("right chain does not alternate")
 
 
 @dataclass(frozen=True)
@@ -170,13 +161,13 @@ class DiskTree:
 
     __slots__ = ("root", "_cache")
 
-    def __init__(self, root: TreeNode, _validate_labels: bool = True):
+    def __init__(self, root: Node, _validate_labels: bool = True):
         # The empty tree (root None) is allowed: it corresponds to the
         # one-leaf word and the singleton permutation.
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_cache", {})
         if _validate_labels:
-            _validate(self._index())
+            self._cache["index"] = check(root, (PLUS, MINUS), InvalidTreeError)
 
     @classmethod
     def _from_index(cls, ix: Index) -> "DiskTree":
@@ -189,7 +180,7 @@ class DiskTree:
         """The tree numbered by in-order, shared by every view."""
         ix = self._cache.get("index")
         if ix is None:
-            ix = self._cache["index"] = index(self.root, None)
+            ix = self._cache["index"] = index(self.root)
         return ix
 
     def __eq__(self, other) -> bool:
@@ -326,8 +317,9 @@ class DiskTree:
     # -- conversions ------------------------------------------------------
 
     def to_word(self) -> SchroderWord:
-        ix = self._index()
-        return SchroderWord(ix._replace(nodes=rebuild(ix, LEAF)).root)
+        """The word whose expression is this tree's root, sharing its
+        in-order numbering."""
+        return SchroderWord._from_index(self._index())
 
     def to_perm(self) -> Permutation:
         return Permutation(index_values(self._index()))
@@ -353,7 +345,7 @@ class DiskTree:
         for v in chains[i - 1]:
             labels[v] = _FLIP[labels[v]]
         ix = self._index()
-        return DiskTree._from_index(ix._replace(nodes=rebuild(ix, None, labels)))
+        return DiskTree._from_index(ix._replace(nodes=rebuild(ix, labels)))
 
     # -- serialization ----------------------------------------------------
 
@@ -362,10 +354,10 @@ class DiskTree:
 
     @classmethod
     def parse(cls, text: str) -> "DiskTree":
-        """Read the text form; the parser checks labels and alternation."""
+        """Read the text form; raises InvalidTreeError for text off the
+        grammar or a right chain that does not alternate."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        root = parse(tokens, "_", None, (PLUS, MINUS), 0, InvalidTreeError)
-        return cls(root, _validate_labels=False)
+        return cls(parse(tokens, "_", (PLUS, MINUS), 0, InvalidTreeError))
 
     def to_json_obj(self):
         """Nested ``{"label", "left", "right"}`` objects, None when empty."""
@@ -394,7 +386,9 @@ class DiskTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DiskTree":
-        """Read the JSON form; each object is checked as it is decoded.
+        """Read the JSON form; each object's keys and subtree types are
+        checked as it is decoded, labels and alternation as the tree is
+        built.
 
         Past the depth where the ``json`` module gives up (it recurses once
         per level, about a thousand), the text ``to_json`` writes is still
@@ -417,7 +411,7 @@ class DiskTree:
             return tree
         if root is not None and type(root) is not tuple:
             raise InvalidTreeError(f"a tree is a node object or null, not {root!r}")
-        return cls(root, _validate_labels=False)
+        return cls(root)
 
 
 def _json_node(obj: dict) -> tuple:
@@ -426,13 +420,9 @@ def _json_node(obj: dict) -> tuple:
         label, left, right = obj["label"], obj["left"], obj["right"]
     except KeyError as exc:
         raise InvalidTreeError(f"tree node without the key {exc.args[0]!r}") from None
-    if label not in (PLUS, MINUS):
-        raise InvalidTreeError(f"bad label {label!r}")
     for child in (left, right):
         if child is not None and type(child) is not tuple:
             raise InvalidTreeError(f"a subtree is a node object or null, not {child!r}")
-    if right is not None and right[0] == label:
-        raise InvalidTreeError("right chain does not alternate")
     return (label, left, right)
 
 
@@ -443,7 +433,7 @@ class TreeShape:
     structure: ShapeNode
 
     def _index(self) -> Index:
-        return index(self.structure, None, 0)
+        return index(self.structure, 0)
 
     @property
     def size(self) -> int:
@@ -494,19 +484,18 @@ class TreeShape:
                 for v in nodes:
                     labels[v] = label
                     label = _FLIP[label]
-            yield DiskTree._from_index(ix._replace(nodes=rebuild(ix, None, labels)))
+            yield DiskTree._from_index(ix._replace(nodes=rebuild(ix, labels)))
 
 
 def word_to_tree(w: SchroderWord) -> DiskTree:
     """Drop the leaves of the expression tree, keeping operator nodes.
 
-    The i-th operator of the word (textual order) becomes the i-th in-order
-    node of the tree, so the right-chain restriction on words is exactly
-    the alternation condition on trees.
+    The tree's root is the word's expression and the two share one
+    in-order numbering: the i-th operator of the word (textual order) is
+    the i-th in-order node of the tree, so the right-chain restriction on
+    words is exactly the alternation condition on trees.
     """
-
-    ix = w._index
-    return DiskTree._from_index(ix._replace(nodes=rebuild(ix, None)))
+    return DiskTree._from_index(w._index)
 
 
 def tree_to_word(t: DiskTree) -> SchroderWord:
@@ -547,10 +536,10 @@ def enumerate_shapes(n: int) -> Iterator[TreeShape]:
 
 
 @lru_cache(maxsize=None)
-def _gen_trees(m: int, forbidden_root: str | None) -> tuple[TreeNode, ...]:
+def _gen_trees(m: int, forbidden_root: str | None) -> tuple[Node, ...]:
     if m == 0:
         return (None,)
-    out: list[TreeNode] = []
+    out: list[Node] = []
     labels = [l for l in (PLUS, MINUS) if l != forbidden_root]
     for lab in labels:
         for i in range(m):
@@ -561,11 +550,11 @@ def _gen_trees(m: int, forbidden_root: str | None) -> tuple[TreeNode, ...]:
 
 
 @lru_cache(maxsize=None)
-def _by_minus_count(m: int) -> tuple[tuple[TreeNode, ...], ...]:
+def _by_minus_count(m: int) -> tuple[tuple[Node, ...], ...]:
     """The roots of ``_gen_trees(m, None)`` by their number of ``-``
     labels (entry k holds those with k), in enumeration order.  The entries
     are the memoized roots themselves, not copies."""
-    buckets: list[list[TreeNode]] = [[] for _ in range(m + 1)]
+    buckets: list[list[Node]] = [[] for _ in range(m + 1)]
     for root in _gen_trees(m, None):
         count, stack = 0, [root]
         while stack:

@@ -271,7 +271,7 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
     recurrence-only checks honor max_n directly.
     """
     s = _Suite("identities")
-    enum_n = min(max_n, families.brute_force_cap())
+    enum_n = min(max_n, families.BRUTE_FORCE_CAP)
     add_n = min(max_n, 8)
     ok_add = True
     for total in range(2, add_n + 1):

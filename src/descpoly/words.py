@@ -8,6 +8,10 @@ nestings ``(A+(B+C))`` and ``(A-(B-C))`` can never arise because the sweep
 always merges the leftmost eligible pair first, producing ``((A+B)+C)``
 instead.
 
+The expression is held as ``(op, left, right)`` tuples with ``None`` for
+the atom: the node type of ``nested``, which di-sk trees share.  ``1`` is
+only how the text form spells the atom.
+
 The sweep reads a permutation as a list of blocks, each covering an
 interval of values.  Whenever the two adjacent blocks with the least index
 hold consecutive values they merge: ``+`` if the left block is the smaller
@@ -30,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Union
+from typing import Iterator
 
-from .nested import Index, index, parse, render, sizes
+from .nested import Index, Node, check, index, parse, render, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
@@ -61,53 +65,37 @@ class NotSeparableError(ValueError):
         )
 
 
-# Expression nodes: the atom is the singleton LEAF, operator nodes are
-# (op, left, right) tuples.  Sharing is safe because nodes are immutable.
-LEAF = "1"
-Expr = Union[str, tuple]
-
 # Tokens of the textual form per operator: "(" before the left operand,
 # the operator between the operands.
 _OPENS = {PLUS: "(", MINUS: "("}
 _MIDS = {PLUS: PLUS, MINUS: MINUS}
 
 
-def _node(op: str, left: Expr, right: Expr) -> tuple:
-    return (op, left, right)
-
-
-def _right_chains_alternate(ix: Index) -> bool:
-    for op, _, right in islice(ix.nodes, 1, None):
-        if right is not LEAF and right[0] == op:
-            return False
-    return True
-
-
-def expr_is_valid(expr: Expr) -> bool:
-    return _right_chains_alternate(index(expr, LEAF))
-
-
 @dataclass(frozen=True)
 class SchroderWord:
     """A valid Schröder word, wrapping its expression tree."""
 
-    expr: Expr
+    expr: Node
 
-    def __init__(self, expr: Expr, _validate: bool = True):
+    def __init__(self, expr: Node, _validate: bool = True):
         object.__setattr__(self, "expr", expr)
         if _validate:
-            ix = index(expr, LEAF)
-            if not _right_chains_alternate(ix):
-                raise InvalidWordError(f"right-chain restriction violated: {self}")
             # A word that is checked is usually walked again, as sweep's
             # words are; words enumerated by the thousand are not checked
-            # and keep no numbering.
-            object.__setattr__(self, "_checked_index", ix)
+            # and keep no numbering, so a list of them stays small.
+            self.__dict__["_ix"] = check(expr, (PLUS, MINUS), InvalidWordError)
+
+    @classmethod
+    def _from_index(cls, ix: Index) -> "SchroderWord":
+        """An unvalidated word whose in-order numbering is already known."""
+        word = cls(ix.root, _validate=False)
+        word.__dict__["_ix"] = ix
+        return word
 
     @property
     def _index(self) -> Index:
         """The expression numbered by in-order, shared by every view."""
-        return self.__dict__.get("_checked_index") or index(self.expr, LEAF)
+        return self.__dict__.get("_ix") or index(self.expr)
 
     @property
     def n(self) -> int:
@@ -129,24 +117,16 @@ class SchroderWord:
         )
 
     def __str__(self) -> str:
-        return render(self._index, LEAF, _OPENS, _MIDS)
+        return render(self._index, "1", _OPENS, _MIDS)
 
     @classmethod
     def parse(cls, text: str) -> "SchroderWord":
-        return cls(parse_expr(text), _validate=False)
+        """Read the text form; whitespace is ignored.
 
-
-def expr_to_text(expr: Expr) -> str:
-    return render(index(expr, LEAF), LEAF, _OPENS, _MIDS)
-
-
-def parse_expr(text: str) -> Expr:
-    """Expression of a word's text; whitespace is ignored.
-
-    Raises InvalidWordError for text off the grammar, and for a word that
-    breaks the right-chain restriction.
-    """
-    return parse("".join(text.split()), LEAF, LEAF, (PLUS, MINUS), 1, InvalidWordError)
+        Raises InvalidWordError for text off the grammar, and for a word
+        that breaks the right-chain restriction.
+        """
+        return cls(parse("".join(text.split()), "1", (PLUS, MINUS), 1, InvalidWordError))
 
 
 def sweep(p: Permutation) -> SchroderWord:
@@ -169,7 +149,7 @@ def sweep(p: Permutation) -> SchroderWord:
     """
     if not p.word:
         raise ValueError("the empty permutation has no Schröder word")
-    blocks = separating_pass(p.word, LEAF, _join)
+    blocks = separating_pass(p.word, _join)
     if len(blocks) > 1:
         for pattern in (PATTERN_2413, PATTERN_3142):
             hit = find_pattern(p, pattern)
@@ -179,7 +159,7 @@ def sweep(p: Permutation) -> SchroderWord:
     return SchroderWord(blocks[0])
 
 
-def _join(increasing: bool, left: Expr, right: Expr) -> tuple:
+def _join(increasing: bool, left: Node, right: Node) -> tuple:
     return (PLUS if increasing else MINUS, left, right)
 
 
@@ -237,17 +217,17 @@ def enumerate_words(n: int) -> Iterator[SchroderWord]:
 
 
 @lru_cache(maxsize=None)
-def _gen_exprs(n: int) -> tuple[Expr, ...]:
+def _gen_exprs(n: int) -> tuple[Node, ...]:
     if n == 1:
-        return (LEAF,)
-    out: list[Expr] = []
+        return (None,)
+    out: list[Node] = []
     for i in range(1, n):
         for right in _gen_exprs(n - i):
             # The right operand may not repeat the operator at its root.
             allowed = (PLUS, MINUS)
-            if isinstance(right, tuple):
+            if right is not None:
                 allowed = (MINUS,) if right[0] == PLUS else (PLUS,)
             for left in _gen_exprs(i):
                 for op in allowed:
-                    out.append(_node(op, left, right))
+                    out.append((op, left, right))
     return tuple(out)

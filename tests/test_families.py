@@ -1,10 +1,15 @@
 """Polynomial families: tables, recurrences vs enumeration, spiral, identities."""
 
+import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from descpoly.families import (
+    BRUTE_FORCE_CAP,
+    ResourceCapError,
     catalan,
     complement_poly,
     complement_spiral_report,
@@ -123,6 +128,32 @@ def test_gamma_poly_three_ways():
     assert str(gamma_poly(6)) == "1+30t+61t^2"
     for n in range(1, 11):
         assert tuple(gamma_poly(n).coeffs) == separable_gamma(n).gammas
+    for n in range(1, 8):
+        assert gamma_poly(n, "enum") == gamma_poly(n)
+    with pytest.raises(ResourceCapError):
+        gamma_poly(BRUTE_FORCE_CAP + 1, "enum")
+    with pytest.raises(ValueError, match="unknown method"):
+        gamma_poly(5, "sum")
+
+
+# Orders above the recursion limit, in an interpreter whose memo tables
+# start empty; each recurrence must keep its memo misses shallow.
+_ABOVE_A_LOW_RECURSION_LIMIT = """
+import json, sys
+from descpoly.families import gamma_poly, separable_split
+sys.setrecursionlimit(30)
+split = separable_split(40)
+print(json.dumps([list(gamma_poly(40).coeffs), [list(p.coeffs) for p in split]]))
+"""
+
+
+def test_gamma_and_split_recurrences_stay_shallow():
+    result = subprocess.run([sys.executable, "-c", _ABOVE_A_LOW_RECURSION_LIMIT],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    gamma, split = json.loads(result.stdout)
+    assert gamma == list(gamma_poly(40).coeffs)
+    assert split == [list(p.coeffs) for p in separable_split(40)]
 
 
 def test_split_convention_and_agreement():
@@ -211,16 +242,7 @@ def test_separable_gamma_histogram():
         assert all(hist[k] == gv[k] for k in range((n - 1) // 2 + 1))
 
 
-def test_enumeration_cap_is_raisable_to_ten():
-    from descpoly.families import brute_force_cap, set_brute_force_cap
-
-    assert brute_force_cap() == 8
-    with pytest.raises(ValueError):
+def test_enumeration_cap_is_a_constant():
+    assert BRUTE_FORCE_CAP == 8
+    with pytest.raises(ResourceCapError):
         separable_poly(9, "enum")
-    try:
-        set_brute_force_cap(9)
-        assert eulerian_poly(9, "enum") == eulerian_poly(9)
-    finally:
-        set_brute_force_cap(8)
-    with pytest.raises(ValueError):
-        set_brute_force_cap(11)

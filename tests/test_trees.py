@@ -77,6 +77,24 @@ def test_word_tree_roundtrip_exhaustive():
             assert word_to_tree(t.to_word()) == t
 
 
+def test_words_and_trees_share_one_node_type():
+    from descpoly.words import enumerate_words
+
+    checked = [sweep(RUNNING_EXAMPLE), SchroderWord.parse("((1+1)-1)"), SchroderWord.parse("1")]
+    for w in [*checked, *enumerate_words(5)]:
+        t = word_to_tree(w)
+        assert t.root is w.expr
+        back = t.to_word()
+        assert back.expr is t.root and tree_to_word(t).expr is t.root
+        assert back._index is t._index()
+    for w in checked:
+        assert word_to_tree(w)._index() is w._index
+    for t in [*enumerate_trees(5), DiskTree.parse("(- (+ _ _) _)"), perm_to_tree(RUNNING_EXAMPLE)]:
+        w = t.to_word()
+        assert w.expr is t.root and w._index is t._index()
+        assert word_to_tree(w).root is t.root
+
+
 def test_perm_to_tree_statistic():
     t = perm_to_tree(RUNNING_EXAMPLE)
     assert t.n_minus() == RUNNING_EXAMPLE.des() == 5

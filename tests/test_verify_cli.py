@@ -1,13 +1,14 @@
 """The verification suites, report formats, cache, and CLI surface."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from descpoly.cli import main
-from descpoly.families import derangement_poly, separable_poly
+from descpoly.families import derangement_count, derangement_poly, separable_poly
 from descpoly.polynomials import IntPolynomial
 from descpoly.verify import (
     DISCREPANCY,
@@ -181,6 +182,39 @@ def test_cli_poly(capsys):
 
 def test_cli_poly_resource_cap(capsys):
     assert main(["poly", "S", "12", "--method", "enum"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "S", "9", "--method", "enum"],
+    ["poly", "Gamma", "9", "--method", "enum"],
+    ["gamma", "N", "12"],
+    ["rc-index", "15"],
+])
+def test_cli_every_resource_cap_exits_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_poly_gamma_by_enumeration(capsys):
+    assert main(["poly", "Gamma", "6", "--method", "enum"]) == 0
+    assert capsys.readouterr().out.strip() == "1+30x+61x^2"
+
+
+@pytest.mark.parametrize("family", ["D", "A", "Dtilde"])
+def test_cli_poly_at_n_600_in_a_fresh_interpreter(family):
+    """Past the default recursion limit: the memo is filled in increasing
+    order, so no order recurses through all the ones below it."""
+    result = subprocess.run(
+        [sys.executable, "-m", "descpoly", "--format", "json", "poly", family, "600"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr[-500:]
+    value = sum(json.loads(result.stdout)["coeffs"])
+    derangements = derangement_count(600)
+    assert value == {"D": derangements, "A": math.factorial(600),
+                     "Dtilde": math.factorial(600) - derangements}[family]
 
 
 def test_cli_poly_cache(tmp_path, capsys):

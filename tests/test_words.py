@@ -81,6 +81,19 @@ def test_right_chain_restriction_rejected():
     SchroderWord.parse("(1-(1+1))")
 
 
+@pytest.mark.parametrize("expr", [
+    ("x", None, None),                       # not an operator
+    ("+", None, ("+", None, None)),          # right-chain restriction
+    ("x", "1", "1"),                         # the atom is None, not "1"
+    ("+", None, None, None),
+    ["+", None, None],
+    "1",
+])
+def test_constructor_rejects_what_is_not_a_word(expr):
+    with pytest.raises(InvalidWordError):
+        SchroderWord(expr)
+
+
 def test_word_to_perm_small():
     assert str(word_to_perm(SchroderWord.parse("(1+1)"))) == "12"
     assert str(word_to_perm(SchroderWord.parse("(1-1)"))) == "21"
