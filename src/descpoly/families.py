@@ -98,6 +98,10 @@ def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
 
         S_n = (1+t) S_{n-1}
               + t * sum_j S_j (S_{n-j-1} + sum_i S_i S_{n-j-i}).
+
+    The inner sums are the self-convolutions C_m = sum_i S_i S_{m-i}, and
+    sum_j S_j S_{n-j-1} is C_{n-1}; each C_m is computed once and cached
+    (``_self_convolution``), so an order costs O(n) products.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -106,18 +110,35 @@ def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         return _descent_histogram(separable_permutations(n))
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
+    return _convolution_recurrence(separable_poly, ONE_PLUS_T, n)
+
+
+def _convolution_recurrence(member, lin: IntPolynomial, n: int) -> IntPolynomial:
+    """P_n = lin P_{n-1} + t (C_{n-1} + sum_{j=1}^{n-2} P_j C_{n-j}), P_1 = 1.
+
+    ``member(j)`` is P_j; the orders below n are asked for in increasing
+    order, so each memo miss finds the order below it cached.
+    """
     if n == 1:
         return IntPolynomial.one()
-    s = [None] * n  # s[j] = S_j for 1 <= j < n
+    p = [None] * n  # p[j] = P_j for 1 <= j < n
     for j in range(1, n):
-        s[j] = separable_poly(j)
-    t = IntPolynomial.t()
-    acc = ONE_PLUS_T * s[n - 1]
+        p[j] = member(j)
+    acc = _self_convolution(member, n - 1)
     for j in range(1, n - 1):
-        inner = s[n - j - 1]
-        for i in range(1, n - j):
-            inner = inner + s[i] * s[n - j - i]
-        acc = acc + t * s[j] * inner
+        acc = acc + p[j] * _self_convolution(member, n - j)
+    return lin * p[n - 1] + acc.shift(1)
+
+
+@lru_cache(maxsize=None)
+def _self_convolution(member, m: int) -> IntPolynomial:
+    """C_m = sum_{i=1}^{m-1} P_i P_{m-i} for P_i = member(i), all cached."""
+    acc = IntPolynomial.zero()
+    for i in range(1, (m + 1) // 2):
+        acc = acc + member(i) * member(m - i)
+    acc = acc + acc
+    if m % 2 == 0:
+        acc = acc + member(m // 2) * member(m // 2)
     return acc
 
 
@@ -178,7 +199,8 @@ def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Gamma polynomial of S_n(t) as a polynomial in x.
 
     Satisfies the same convolution recurrence as S_n with (1+t) replaced by
-    1 and the outer t by x:
+    1 and the outer t by x, and runs through the same code, with its own
+    cached self-convolutions C_m = sum_i Gamma_i Gamma_{m-i}.
 
     >>> gamma_poly(6).coeffs
     (1, 30, 61)
@@ -192,19 +214,7 @@ def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         return separable_gamma_histogram(n)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
-    if n == 1:
-        return IntPolynomial.one()
-    g = [None] * n  # g[j] = Gamma_j for 1 <= j < n
-    for j in range(1, n):
-        g[j] = gamma_poly(j)
-    x = IntPolynomial.t()
-    acc = g[n - 1]
-    for j in range(1, n - 1):
-        inner = g[n - j - 1]
-        for i in range(1, n - j):
-            inner = inner + g[i] * g[n - j - i]
-        acc = acc + x * g[j] * inner
-    return acc
+    return _convolution_recurrence(gamma_poly, IntPolynomial.one(), n)
 
 
 def cubic_equation_residual(order: int) -> list[IntPolynomial]:
@@ -243,12 +253,24 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
 # D_n(t), A_n(t) and the complement
 
 
+def _descent_step(prev: IntPolynomial, n: int, top: int) -> IntPolynomial:
+    """c(n, k) = (k + 1) c(n-1, k) + (n - k) c(n-1, k-1) for k < n, plus
+    ``top`` at k = n - 1."""
+    c = (0,) + prev.coeffs + (0,) * (n - len(prev.coeffs))  # c[k + 1] = c(n-1, k)
+    coeffs = [(k + 1) * c[k + 1] + (n - k) * c[k] for k in range(n)]
+    coeffs[n - 1] += top
+    return IntPolynomial(coeffs)
+
+
 @lru_cache(maxsize=None)
 def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of derangements, D_1 = 0, D_2 = t.
 
     >>> str(derangement_poly(6))
     '16t+104t^2+120t^3+24t^4+t^5'
+
+    The coefficient recurrence of A_n holds below the top; the term
+    (-1)^n t^(n-1) sets the boundary d(n, n-1).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -261,18 +283,15 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         return IntPolynomial.zero()
     for m in range(1, n):
         prev = derangement_poly(m)
-    coeffs = [0] * n
-    coeffs[n - 1] = 1 if n % 2 == 0 else 0
-    for k in range(n - 1):
-        coeffs[k] = (k + 1) * prev[k] + (n - k) * prev[k - 1]
-    return IntPolynomial(coeffs)
+    return _descent_step(prev, n, (-1) ** n)
 
 
 @lru_cache(maxsize=None)
 def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
-    """Descent polynomial of all permutations.
+    """Descent polynomial of all permutations, A_1 = 1.
 
-    A_n = (1 + (n-1) t) A_{n-1} + t (1 - t) A'_{n-1}, A_1 = 1.
+    a(n, k) = (k + 1) a(n-1, k) + (n - k) a(n-1, k-1), the coefficients of
+    A_n = (1 + (n-1) t) A_{n-1} + t (1 - t) A'_{n-1}.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -285,17 +304,13 @@ def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         return IntPolynomial.one()
     for m in range(1, n):
         prev = eulerian_poly(m)
-    t = IntPolynomial.t()
-    return (
-        IntPolynomial((1, n - 1)) * prev
-        + t * (IntPolynomial.one() - t) * prev.derivative()
-    )
+    return _descent_step(prev, n, 0)
 
 
 @lru_cache(maxsize=None)
 def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of non-derangements (permutations with a fixed
-    point); equals A_n - D_n and satisfies the shifted recurrence with the
+    point); equals A_n - D_n and satisfies the recurrence of A_n with the
     extra term (-t)^(n-1).
     """
     if n < 1:
@@ -311,13 +326,7 @@ def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         return IntPolynomial.one()
     for m in range(1, n):
         prev = complement_poly(m)
-    t = IntPolynomial.t()
-    extra = IntPolynomial.monomial(n - 1, (-1) ** (n - 1))
-    return (
-        extra
-        + IntPolynomial((1, n - 1)) * prev
-        + t * (IntPolynomial.one() - t) * prev.derivative()
-    )
+    return _descent_step(prev, n, (-1) ** (n - 1))
 
 
 def eulerian_gamma(n: int) -> GammaVector:

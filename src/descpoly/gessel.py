@@ -19,7 +19,6 @@ j = n - 1 - 2i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .bijection import InvariantError
@@ -148,23 +147,33 @@ class GesselGamma:
         )
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[int, bool, Optional[list[Fraction]]]:
-    """Gaussian elimination over Q: (rank, consistent, unique solution or None)."""
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[int, bool, Optional[tuple[list[int], int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (rank, consistent, solution), where a unique solution comes as
+    integer numerators over one common nonzero denominator and is None
+    otherwise.  Each step replaces every other row r by
+    (pivot * r - r[col] * pivot row) / previous pivot, a division that is
+    exact; afterwards every pivot row holds the last pivot in its pivot
+    column and zeros in the other pivot columns.
+    """
     m, cols = len(rows), len(rows[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    a = [list(row) + [y] for row, y in zip(rows, rhs)]
     rank = 0
     pivots: list[int] = []
+    previous = 1
     for col in range(cols):
         pivot = next((r for r in range(rank, m) if a[r][col] != 0), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
+        top = a[rank]
+        pv = top[col]
         for r in range(m):
-            if r != rank and a[r][col] != 0:
+            if r != rank:
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+                a[r] = [(pv * x - factor * y) // previous for x, y in zip(a[r], top)]
+        previous = pv
         pivots.append(col)
         rank += 1
         if rank == m:
@@ -174,10 +183,10 @@ def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[int, bool, Opti
     )
     if not consistent or rank < cols:
         return rank, consistent, None
-    solution = [Fraction(0)] * cols
+    solution = [0] * cols
     for r, col in enumerate(pivots):
         solution[col] = a[r][cols]
-    return rank, True, solution
+    return rank, True, (solution, previous)
 
 
 def gessel_gamma(n: int):
@@ -195,9 +204,11 @@ def gessel_gamma(n: int):
     rank, consistent, solution = _solve_exact(rows, rhs)
     if solution is None:
         return Indeterminate(n, rank, len(index), consistent)
-    if any(x.denominator != 1 for x in solution):
+    numerators, denominator = solution
+    quotients = [divmod(x, denominator) for x in numerators]
+    if any(rest for _, rest in quotients):
         raise InvariantError(f"the gamma expansion of n = {n} has a non-integer coefficient")
     gammas = tuple(
-        (ij, int(x)) for ij, x in zip(index, solution) if x != 0
+        (ij, q) for ij, (q, _) in zip(index, quotients) if q != 0
     )
     return GesselGamma(n, gammas, rank)

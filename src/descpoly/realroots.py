@@ -1,105 +1,62 @@
-"""Exact real-root counting by Sturm sequences over the rationals.
+"""Exact real-root counting by Sturm sequences over the integers.
 
-The count is taken with multiplicity: the square-free part is counted by
-sign variations of its Sturm chain at -infinity and +infinity, and the
-repeated part gcd(p, p') is handled recursively.  No floating point is
-involved anywhere, so ``is_real_rooted`` is a decision procedure.
+The Sturm chain p, p', -rem(p, p'), ... is built fraction-free as a
+primitive polynomial remainder sequence (Collins, "Subresultants and
+reduced polynomial remainder sequences", JACM 14, 1967).  Each step takes
+the pseudo-remainder prem(a, b) = lc(b)^(deg a - deg b + 1) rem(a, b),
+negates it, flips its sign once more when lc(b) < 0 and the exponent is
+odd, and divides it by its positive content.  Only positive factors
+separate the result from the true -rem(a, b), so the signs, and with them
+the sign variations, are those of the Sturm chain.
+
+The count is taken with multiplicity.  The chain of p ends in a positive
+multiple of g = gcd(p, p'), and V(-inf) - V(+inf) over it counts the
+distinct real roots of p.  Summed over p, g, gcd(g, g'), ..., it counts
+each root as often as its multiplicity.  No floating point is involved
+anywhere, so ``is_real_rooted`` is a decision procedure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .polynomials import IntPolynomial
 
-QPoly = tuple[Fraction, ...]
+Coeffs = list[int]   # c[k] multiplies t^k; the last entry is nonzero
 
 
-def _q_strip(coeffs: list[Fraction]) -> QPoly:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _primitive(c: Coeffs) -> Coeffs:
+    """c divided by its positive content, with trailing zeros dropped."""
+    while c and c[-1] == 0:
+        c.pop()
+    content = gcd(*c) if c else 1
+    return c if content == 1 else [x // content for x in c]
 
 
-def _q_from_int(p: IntPolynomial) -> QPoly:
-    return tuple(Fraction(c) for c in p.coeffs)
-
-
-def _q_degree(p: QPoly) -> int:
-    return len(p) - 1
-
-
-def _q_derivative(p: QPoly) -> QPoly:
-    return _q_strip([k * c for k, c in enumerate(p)][1:])
-
-
-def _q_divmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _sturm_step(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A positive multiple of -rem(a, b), primitive; [] when b divides a."""
     db, lead = len(b) - 1, b[-1]
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return _q_strip(quo), _q_strip(rem)
+    exponent = len(a) - len(b) + 1
+    rem = a
+    for shift in range(exponent - 1, -1, -1):
+        top = rem[shift + db]
+        rem = [lead * x for x in rem[: shift + db]]
+        if top:
+            for i in range(db):
+                rem[shift + i] -= top * b[i]
+    sign = -1 if lead < 0 and exponent % 2 else 1
+    return _primitive([-sign * x for x in rem])
 
 
-def _q_monic(p: QPoly) -> QPoly:
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+def _sign_changes(signs: list[bool]) -> int:
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _q_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while b:
-        a, b = b, _q_divmod(a, b)[1]
-    return _q_monic(a)
-
-
-def _sturm_chain(p: QPoly) -> list[QPoly]:
-    chain = [p, _q_derivative(p)]
-    while chain[-1]:
-        rem = _q_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(tuple(-c for c in rem))
-    return chain
-
-
-def _sign_at_infinity(p: QPoly, positive: bool) -> int:
-    if not p:
-        return 0
-    lead = p[-1]
-    sign = 1 if lead > 0 else -1
-    if not positive and _q_degree(p) % 2 == 1:
-        sign = -sign
-    return sign
-
-
-def _variations(signs: list[int]) -> int:
-    filtered = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
-
-
-def _distinct_real_roots(p: QPoly) -> int:
-    """Number of distinct real roots of a square-free rational polynomial."""
-    if _q_degree(p) == 0:
-        return 0
-    chain = _sturm_chain(p)
-    at_minus = _variations([_sign_at_infinity(q, positive=False) for q in chain])
-    at_plus = _variations([_sign_at_infinity(q, positive=True) for q in chain])
-    return at_minus - at_plus
+def _variations_at_infinity(chain: list[Coeffs]) -> int:
+    """V(-inf) - V(+inf) over a chain of nonzero polynomials."""
+    plus = [c[-1] > 0 for c in chain]
+    minus = [positive != (len(c) % 2 == 0) for c, positive in zip(chain, plus)]
+    return _sign_changes(minus) - _sign_changes(plus)
 
 
 def real_root_count(p: IntPolynomial) -> int:
@@ -114,13 +71,17 @@ def real_root_count(p: IntPolynomial) -> int:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every number as a root")
-    q = _q_from_int(p)
+    g = _primitive(list(p.coeffs))
     total = 0
-    while _q_degree(q) >= 1:
-        repeated = _q_gcd(q, _q_derivative(q))
-        squarefree = _q_divmod(q, repeated)[0]
-        total += _distinct_real_roots(squarefree)
-        q = repeated
+    while len(g) > 1:
+        chain = [g, _primitive([k * c for k, c in enumerate(g)][1:])]
+        while len(chain[-1]) > 1:
+            rem = _sturm_step(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(rem)
+        total += _variations_at_infinity(chain)
+        g = chain[-1]   # a multiple of gcd(g, g')
     return total
 
 

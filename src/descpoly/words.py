@@ -119,6 +119,9 @@ class SchroderWord:
     def __str__(self) -> str:
         return render(self._index, "1", _OPENS, _MIDS)
 
+    def __repr__(self) -> str:
+        return f"SchroderWord.parse({str(self)!r})"
+
     @classmethod
     def parse(cls, text: str) -> "SchroderWord":
         """Read the text form; whitespace is ignored.

@@ -105,6 +105,16 @@ def through_every_view(values, word_text=None):
     return view
 
 
+def test_repr_of_a_deep_word():
+    # the identity of length 1500 sweeps to a left comb deeper than the
+    # recursion limit
+    word = sweep(Permutation(tuple(range(1, 1501))))
+    text = str(word)
+    assert repr(word) == f"SchroderWord.parse({text!r})"
+    assert str(SchroderWord.parse(text)) == text
+    assert repr(word_to_tree(word)) == f"DiskTree.parse({word_to_tree(word).to_text()!r})"
+
+
 def test_right_comb_of_1e5():
     values, text = right_comb(BIG)
     view = through_every_view(values, text)

@@ -140,10 +140,11 @@ def test_gamma_poly_three_ways():
 # start empty; each recurrence must keep its memo misses shallow.
 _ABOVE_A_LOW_RECURSION_LIMIT = """
 import json, sys
-from descpoly.families import gamma_poly, separable_split
+from descpoly.families import complement_poly, gamma_poly, separable_poly, separable_split
 sys.setrecursionlimit(30)
 split = separable_split(40)
-print(json.dumps([list(gamma_poly(40).coeffs), [list(p.coeffs) for p in split]]))
+print(json.dumps([list(gamma_poly(40).coeffs), [list(p.coeffs) for p in split],
+                  list(separable_poly(40).coeffs), list(complement_poly(40).coeffs)]))
 """
 
 
@@ -151,9 +152,51 @@ def test_gamma_and_split_recurrences_stay_shallow():
     result = subprocess.run([sys.executable, "-c", _ABOVE_A_LOW_RECURSION_LIMIT],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    gamma, split = json.loads(result.stdout)
+    gamma, split, separable, complement = json.loads(result.stdout)
     assert gamma == list(gamma_poly(40).coeffs)
     assert split == [list(p.coeffs) for p in separable_split(40)]
+    assert separable == list(separable_poly(40).coeffs)
+    assert complement == list(complement_poly(40).coeffs)
+
+
+def _triple_convolution(lin, n_max):
+    """P_1..P_{n_max} by the convolution written out in full, O(n^2)
+    products per order: P_n = lin P_{n-1}
+    + t sum_j P_j (P_{n-j-1} + sum_i P_i P_{n-j-i})."""
+    t = IntPolynomial.t()
+    p = [None, IntPolynomial.one()]
+    for n in range(2, n_max + 1):
+        acc = lin * p[n - 1]
+        for j in range(1, n - 1):
+            inner = p[n - j - 1]
+            for i in range(1, n - j):
+                inner = inner + p[i] * p[n - j - i]
+            acc = acc + t * p[j] * inner
+        p.append(acc)
+    return p
+
+
+def test_cached_convolution_matches_the_triple_convolution():
+    for name, lin, member in (("S", IntPolynomial((1, 1)), separable_poly),
+                              ("Gamma", IntPolynomial.one(), gamma_poly)):
+        reference = _triple_convolution(lin, 40)
+        for n in range(1, 41):
+            assert member(n) == reference[n], (name, n)
+
+
+def test_coefficient_recurrences_match_the_derivative_form():
+    # A_n = (1 + (n-1)t) A_{n-1} + t(1-t) A'_{n-1}, and the complement
+    # adds (-t)^(n-1) to the same operator.
+    t = IntPolynomial.t()
+
+    def step(p, n):
+        return IntPolynomial((1, n - 1)) * p + t * (IntPolynomial.one() - t) * p.derivative()
+
+    a = c = IntPolynomial.one()
+    for n in range(2, 61):
+        a, c = step(a, n), step(c, n) + IntPolynomial.monomial(n - 1, (-1) ** (n - 1))
+        assert eulerian_poly(n) == a and complement_poly(n) == c, n
+        assert a - c == derangement_poly(n), n
 
 
 def test_split_convention_and_agreement():

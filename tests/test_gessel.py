@@ -1,9 +1,17 @@
 """Two-variable descent statistics and the joint gamma expansion."""
 
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import descpoly.gessel as gessel
+from descpoly.bijection import InvariantError
 from descpoly.families import separable_gamma
 from descpoly.gessel import (
     GesselGamma,
     Indeterminate,
+    _solve_exact,
     basis_element,
     basis_index,
     gessel_gamma,
@@ -77,3 +85,80 @@ def test_nonnegative_and_dominates_edge():
 def test_rank_reported():
     g = gessel_gamma(5)
     assert g.rank == len(basis_index(5))
+
+
+def _fraction_solve(rows, rhs):
+    """Gauss-Jordan elimination over Q with unit pivots: the reference for
+    the fraction-free solve, as (rank, consistent, solution or None)."""
+    m, cols = len(rows), len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    rank, pivots = 0, []
+    for col in range(cols):
+        pivot = next((r for r in range(rank, m) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for r in range(m):
+            if r != rank and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+        rank += 1
+    consistent = all(row[cols] == 0 for row in a[rank:])
+    if not consistent or rank < cols:
+        return rank, consistent, None
+    solution = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        solution[col] = a[r][cols]
+    return rank, True, solution
+
+
+@st.composite
+def linear_systems(draw):
+    """m x cols systems of rank at most r, as a product of an m x r and an
+    r x cols matrix; the right side is in the column space or drawn freely."""
+    m, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, cols)))
+    entries = st.integers(-4, 4)
+    left = [[draw(entries) for _ in range(r)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(cols)] for _ in range(r)]
+    rows = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(cols)]
+            for i in range(m)]
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(entries) for _ in range(m)]
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+@example(([[1, 2], [2, 4]], [1, 3]))            # rank 1, inconsistent
+@example(([[1, 2], [2, 4]], [1, 2]))            # rank 1, a line of solutions
+@example(([[0, 2], [3, 1], [1, 1]], [2, 4, 2]))  # overdetermined, unique
+def test_fraction_free_solve_matches_rational_elimination(system):
+    rows, rhs = system
+    rank, consistent, solution = _solve_exact(rows, rhs)
+    ref_rank, ref_consistent, ref_solution = _fraction_solve(rows, rhs)
+    assert (rank, consistent) == (ref_rank, ref_consistent)
+    if ref_solution is None:
+        assert solution is None
+    else:
+        numerators, denominator = solution
+        assert denominator != 0
+        assert [Fraction(x, denominator) for x in numerators] == ref_solution
+
+
+def test_rank_deficient_and_non_integer_verdicts(monkeypatch):
+    unknowns = len(basis_index(4))
+    monkeypatch.setattr(gessel, "_solve_exact", lambda rows, rhs: (3, True, None))
+    assert gessel_gamma(4) == Indeterminate(4, 3, unknowns, True)
+    assert gessel_gamma(4).solution_space_dim == unknowns - 3
+    monkeypatch.setattr(gessel, "_solve_exact", lambda rows, rhs: (4, False, None))
+    assert gessel_gamma(4).solution_space_dim is None
+    monkeypatch.setattr(gessel, "_solve_exact",
+                        lambda rows, rhs: (unknowns, True, ([2] * (unknowns - 1) + [3], -2)))
+    with pytest.raises(InvariantError, match="non-integer"):
+        gessel_gamma(4)

@@ -1,7 +1,8 @@
 """Sturm root counting against polynomials with known root structure."""
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from descpoly.families import derangement_poly, separable_poly
 from descpoly.polynomials import IntPolynomial
@@ -50,7 +51,31 @@ def test_constructed_factorizations(roots, quads):
     assert is_real_rooted(p) == (complex_pairs == 0)
 
 
+def _sympy_real_root_count(p):
+    """Real roots with multiplicity: sympy's count_roots counts distinct
+    roots, so it runs on each square-free factor, weighted by its power."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(p.coeffs)), x)
+    _, factors = poly.sqf_list()
+    return sum(mult * factor.count_roots() for factor, mult in factors)
+
+
+small_factor = st.lists(st.integers(-5, 5), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(small_factor, st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(-3, 3).filter(bool))
+def test_real_root_count_against_sympy(factors, scale):
+    # products of random low-degree factors, some raised to a power, so
+    # that repeated, complex and irrational roots all occur
+    p = IntPolynomial((scale,))
+    for coeffs, power in factors:
+        p = p * IntPolynomial(coeffs) ** power
+    assert real_root_count(p) == _sympy_real_root_count(p)
+
+
 def test_descent_polynomials_real_rooted_evidence():
-    for n in range(2, 13):
+    for n in range(2, 31):
         assert is_real_rooted(separable_poly(n)), n
         assert is_real_rooted(derangement_poly(n)), n

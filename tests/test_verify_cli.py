@@ -298,6 +298,22 @@ def test_cli_entry_point_subprocess():
     assert result.stdout.strip() == "16t+104t^2+120t^3+24t^4+t^5"
 
 
+def test_conjectures_suite_same_under_python_O():
+    # -O strips assert statements; the Sturm counts and the Gessel solve
+    # that this suite runs must not depend on any.
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "descpoly", "--format", "json",
+             "verify", "conjectures"],
+            capture_output=True, text=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = [(r.returncode, r.stdout) for r in runs]
+    assert plain[0] == 0 and json.loads(plain[1])
+    assert optimized == plain
+
+
 def _left_comb_text(m):
     return "(+ " * m + "_" + " _)" * m
 
