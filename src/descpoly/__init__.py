@@ -81,7 +81,6 @@ from .trees import (
     enumerate_shapes,
     enumerate_trees,
     perm_to_tree,
-    tree_to_perm,
     tree_to_word,
     word_to_tree,
 )

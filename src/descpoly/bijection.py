@@ -231,7 +231,8 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     """
     view = tree.right_chains()
     labels = tree.labels()
-    left, right, parent = tree._arrays()
+    ix = tree._index()
+    left, right, parent = ix.left, ix.right, ix.parent
 
     if violation.kind == "first-node-minus":
         first = view.chains[0]

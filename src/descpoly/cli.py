@@ -118,17 +118,19 @@ def _chain_view_text(tree: DiskTree) -> str:
     return "\n".join(lines)
 
 
+def _emit_not_separable(args, exc: NotSeparableError) -> int:
+    positions = list(exc.positions)
+    _emit(args, {"separable": False, "pattern": str(exc.pattern), "positions": positions},
+          f"NotSeparable: pattern {exc.pattern} at positions {positions}")
+    return EXIT_CHECK_FAILED
+
+
 def _cmd_sweep(args) -> int:
     perm = parse_permutation(args.perm)
     try:
         word = sweep(perm)
     except NotSeparableError as exc:
-        _emit(args, {
-            "separable": False,
-            "pattern": str(exc.pattern),
-            "positions": list(exc.positions),
-        }, f"NotSeparable: pattern {exc.pattern} at positions {list(exc.positions)}")
-        return EXIT_CHECK_FAILED
+        return _emit_not_separable(args, exc)
     _emit(args, {"separable": True, "word": str(word)}, str(word))
     return EXIT_OK
 
@@ -138,12 +140,7 @@ def _cmd_tree(args) -> int:
     try:
         tree = perm_to_tree(perm)
     except NotSeparableError as exc:
-        _emit(args, {
-            "separable": False,
-            "pattern": str(exc.pattern),
-            "positions": list(exc.positions),
-        }, f"NotSeparable: pattern {exc.pattern} at positions {list(exc.positions)}")
-        return EXIT_CHECK_FAILED
+        return _emit_not_separable(args, exc)
     if args.format == "text":
         print(tree.to_text() + "\n" + _chain_view_text(tree))
         return EXIT_OK
@@ -215,11 +212,6 @@ def _cmd_bij(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_suite(args.suite, args.max_n)
-    if args.cache_dir is not None:
-        cache = PolyCache(args.cache_dir)
-        for family in PolyCache.FAMILIES:
-            for n in range(1, 9):
-                cache.get(family, n)
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), indent=1, sort_keys=True))
     elif args.format == "csv":

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .nested import LABELS
 from .permutations import (
     all_permutations,
     derangements,
@@ -73,13 +74,13 @@ def schroder_number(n: int) -> int:
     return separable_poly(n)(1)
 
 
-def _descent_histogram(perms) -> IntPolynomial:
+def _histogram(exponents) -> IntPolynomial:
+    """The polynomial whose coefficient k counts the k's in ``exponents``."""
     coeffs: list[int] = []
-    for p in perms:
-        d = p.des()
-        if d >= len(coeffs):
-            coeffs.extend([0] * (d - len(coeffs) + 1))
-        coeffs[d] += 1
+    for k in exponents:
+        if k >= len(coeffs):
+            coeffs.extend([0] * (k - len(coeffs) + 1))
+        coeffs[k] += 1
     return IntPolynomial(coeffs)
 
 
@@ -107,7 +108,7 @@ def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError("need n >= 1")
     if method == "enum":
         _check_cap(n)
-        return _descent_histogram(separable_permutations(n))
+        return _histogram(p.des() for p in separable_permutations(n))
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
     return _convolution_recurrence(separable_poly, ONE_PLUS_T, n)
@@ -173,20 +174,12 @@ def separable_split(n: int) -> tuple[IntPolynomial, IntPolynomial]:
 def separable_split_enum(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     """Oracle for separable_split by enumerating trees rooted '+' and '-'."""
     from .trees import enumerate_trees
-    from .words import PLUS
 
     _check_cap(n)
     if n == 1:
         return (IntPolynomial.one(), IntPolynomial.one())
-    plus: list[int] = []
-    minus: list[int] = []
-    for tree in enumerate_trees(n):
-        target = plus if tree.root[0] == PLUS else minus
-        k = tree.n_minus()
-        if k >= len(target):
-            target.extend([0] * (k - len(target) + 1))
-        target[k] += 1
-    return (IntPolynomial(plus), IntPolynomial(minus))
+    return tuple(_histogram(t.n_minus() for t in enumerate_trees(n) if t.root[0] == label)
+                 for label in LABELS)
 
 
 def separable_gamma(n: int) -> GammaVector:
@@ -276,7 +269,7 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError("need n >= 1")
     if method == "enum":
         _check_cap(n)
-        return _descent_histogram(derangements(n))
+        return _histogram(p.des() for p in derangements(n))
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
@@ -297,7 +290,7 @@ def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError("need n >= 1")
     if method == "enum":
         _check_cap(n)
-        return _descent_histogram(all_permutations(n))
+        return _histogram(p.des() for p in all_permutations(n))
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
@@ -317,9 +310,7 @@ def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
         raise ValueError("need n >= 1")
     if method == "enum":
         _check_cap(n)
-        return _descent_histogram(
-            p for p in all_permutations(n) if not p.is_derangement()
-        )
+        return _histogram(p.des() for p in all_permutations(n) if not p.is_derangement())
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
     if n == 1:
@@ -339,14 +330,12 @@ def narayana_poly(n: int) -> IntPolynomial:
 
     _check_cap(n)
     pat = Permutation((2, 3, 1))
-    return _descent_histogram(
-        p for p in all_permutations(n) if not p.contains_pattern(pat)
-    )
+    return _histogram(p.des() for p in all_permutations(n) if not p.contains_pattern(pat))
 
 
 def no_double_descent_histogram(perms) -> IntPolynomial:
     """Coefficient k counts members with no double descent and k descents."""
-    return _descent_histogram(p for p in perms if p.double_descents() == 0)
+    return _histogram(p.des() for p in perms if p.double_descents() == 0)
 
 
 def separable_gamma_histogram(n: int) -> IntPolynomial:
@@ -362,13 +351,7 @@ def desarrangement_histogram(n: int) -> IntPolynomial:
     (0, 16, 104, 120, 24, 1)
     """
     _check_cap(n)
-    coeffs: list[int] = []
-    for p in desarrangements(n):
-        k = p.ides()
-        if k >= len(coeffs):
-            coeffs.extend([0] * (k - len(coeffs) + 1))
-        coeffs[k] += 1
-    return IntPolynomial(coeffs)
+    return _histogram(p.ides() for p in desarrangements(n))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +377,6 @@ class SpiralReport:
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def implies_unimodal(self) -> bool:
-        return self.passed
 
 
 def _compare(desc: str, lo: int, hi: int, allow_equal: bool) -> SpiralCheck:

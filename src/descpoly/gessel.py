@@ -19,6 +19,7 @@ j = n - 1 - 2i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .bijection import InvariantError
@@ -91,8 +92,11 @@ def basis_index(n: int) -> list[tuple[int, int]]:
     ]
 
 
+@lru_cache(maxsize=None)
 def two_var_poly(n: int) -> BivariatePolynomial:
-    """sum over S_n of s^ides t^des, by direct enumeration.
+    """sum over S_n of s^ides t^des, by direct enumeration, memoized as
+    the other families are: ``gessel_gamma`` and the symmetry check of
+    the conjectures suite read the same grid.
 
     >>> two_var_poly(2).as_dict()
     {(0, 0): 1, (1, 1): 1}

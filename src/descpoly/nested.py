@@ -8,6 +8,11 @@ spell ``None``.  Unlabeled tree shapes are ``(left, right)`` pairs over
 explicit-stack pass that numbers the nodes by in-order and records the
 links between them.  The other helpers here are plain loops over that
 record, so no walker recurses and inputs of any depth take linear time.
+
+:class:`CheckedTree` is the value both wrap: a ``(label, left, right)``
+tree over ``+`` and ``-`` whose right chains alternate, with its in-order
+numbering, label tuple, text form and equality.  ``SchroderWord`` and
+``DiskTree`` only name their spelling and add their own methods.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ from typing import Any, NamedTuple, Optional, Sequence
 
 # A (label, left, right) node, or None for the empty subtree.
 Node = Optional[tuple]
+
+PLUS = "+"
+MINUS = "-"
+LABELS = (PLUS, MINUS)
 
 # Marks a ')' on the parser's stack.
 _CLOSE = object()
@@ -210,3 +219,109 @@ def parse(tokens: Sequence[str], atom: str, labels: tuple[str, ...],
     if len(stack) != 1 or stack[0] is _CLOSE or stack[0] in labels:
         raise error("input is not a single tree")
     return stack[0]
+
+
+def same(a: Node, b: Node) -> bool:
+    """``a == b`` for two trees of triples, with an explicit stack, so at
+    any depth; subtrees that are one object are not walked."""
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y = pop()
+        while x is not y:
+            if x is None or y is None or x[0] != y[0]:
+                return False
+            push((x[2], y[2]))
+            x, y = x[1], y[1]
+    return True
+
+
+class CheckedTree:
+    """A tree of ``(label, left, right)`` triples over ``+`` and ``-`` with
+    alternating right chains: a Schröder word's expression and a di-sk
+    tree's root alike.
+
+    A subclass names its text spelling: ``_ATOM`` for an empty subtree,
+    ``_OPENS`` and ``_MIDS`` per label (see ``render``), ``_OP_AT`` and
+    ``_tokens`` for ``parse``, and ``_ERROR``, raised for a value or text
+    that is not such a tree.
+
+    The in-order numbering is kept by a value that was checked, and from
+    the first walk that hands back data keyed by in-order ids (the labels,
+    a tree's chains), which are kept too, or that shares the numbering
+    with a view (``word_to_tree``, ``to_word``); those go through
+    ``_kept_index``.  Walks that hand back a
+    whole new object, the text form or the permutation, number an
+    unchecked value afresh each time, so the thousands of words an
+    enumeration yields stay small when they are only evaluated.
+    """
+
+    __slots__ = ("_root", "_ix", "_labels")
+
+    _ATOM: str
+    _OPENS: dict
+    _MIDS: dict
+    _OP_AT: int
+    _ERROR: type[Exception]
+
+    def __init__(self, root: Node, _validate: bool = True):
+        self._root = root
+        self._ix = check(root, LABELS, self._ERROR) if _validate else None
+        self._labels = None
+
+    @classmethod
+    def _from_index(cls, ix: Index):
+        """An unchecked value whose in-order numbering is already known."""
+        value = cls(ix.root, _validate=False)
+        value._ix = ix
+        return value
+
+    def _index(self) -> Index:
+        """The value numbered by in-order: the kept numbering, or a fresh
+        one that is not kept."""
+        ix = self._ix
+        return index(self._root) if ix is None else ix
+
+    def _kept_index(self) -> Index:
+        """The numbering, kept from now on."""
+        if self._ix is None:
+            self._ix = index(self._root)
+        return self._ix
+
+    @property
+    def n(self) -> int:
+        """Number of empty subtrees: a word's leaves, a tree's size + 1."""
+        return len(self._index().nodes)
+
+    def labels(self) -> tuple[str, ...]:
+        """Labels in in-order; entry i-1 holds node i's.  Kept with the
+        numbering."""
+        if self._labels is None:
+            nodes = islice(self._kept_index().nodes, 1, None)
+            self._labels = tuple([node[0] for node in nodes])
+        return self._labels
+
+    def minus_positions(self) -> frozenset[int]:
+        """1-based in-order positions of the ``-`` labels."""
+        return frozenset(i for i, label in enumerate(self.labels(), 1) if label == MINUS)
+
+    def _text(self) -> str:
+        return render(self._index(), self._ATOM, self._OPENS, self._MIDS)
+
+    @classmethod
+    def parse(cls, text: str):
+        """Read the text form.  Raises the class's error for text off the
+        grammar, and for a right chain that does not alternate."""
+        return cls(parse(cls._tokens(text), cls._ATOM, LABELS, cls._OP_AT, cls._ERROR))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.parse({self._text()!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return same(self._root, other._root)
+
+    def __hash__(self) -> int:
+        # CPython hashes nested tuples in C, out of the recursion limit's reach.
+        return hash(self._root)

@@ -19,7 +19,7 @@ unimodal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class NotPalindromicError(ValueError):
@@ -145,23 +145,8 @@ class IntPolynomial:
         """Drop all terms of exponent > ``order``."""
         return IntPolynomial(self.coeffs[: order + 1])
 
-    def reversed_coeffs(self, darga: int) -> "IntPolynomial":
-        """The polynomial t^darga * p(1/t), defined when darga >= degree."""
-        if not self.coeffs:
-            return self
-        if darga < self.degree:
-            raise ValueError("darga below degree")
-        out = [0] * (darga + 1)
-        for k, c in enumerate(self.coeffs):
-            out[darga - k] = c
-        return IntPolynomial(out)
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in data))
 
     def __str__(self) -> str:
         return format_poly(self, "t")

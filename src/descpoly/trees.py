@@ -33,18 +33,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator, Optional
 
-from .nested import Index, Node, check, index, parse, rebuild, render
+from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, rebuild, render
 from .permutations import Permutation
-from .words import (
-    MINUS,
-    PLUS,
-    SchroderWord,
-    index_values,
-    sweep,
-)
+from .words import SchroderWord, index_values, sweep
 
 # Unlabeled structures are frozen pairs (left, right); None is empty.
 ShapeNode = Optional[tuple]
@@ -156,76 +149,46 @@ class RightChainView:
         return tuple(c.length for c in self.chains)
 
 
-class DiskTree:
-    """Immutable di-sk tree with lazily computed structure views."""
+class DiskTree(CheckedTree):
+    """Immutable di-sk tree with lazily computed structure views.
 
-    __slots__ = ("root", "_cache")
+    The empty tree (root None) is allowed: it corresponds to the one-leaf
+    word and the singleton permutation.
+    """
 
-    def __init__(self, root: Node, _validate_labels: bool = True):
-        # The empty tree (root None) is allowed: it corresponds to the
-        # one-leaf word and the singleton permutation.
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_cache", {})
-        if _validate_labels:
-            self._cache["index"] = check(root, (PLUS, MINUS), InvalidTreeError)
+    # The chain walk and the right-chain view, each set on first use.
+    __slots__ = ("_walk_memo", "_view_memo")
 
-    @classmethod
-    def _from_index(cls, ix: Index) -> "DiskTree":
-        """An unvalidated tree whose in-order numbering is already known."""
-        tree = cls(ix.root, _validate_labels=False)
-        tree._cache["index"] = ix
-        return tree
+    _ATOM = "_"
+    _OPENS = _OPENS
+    _MIDS = _MIDS
+    _OP_AT = 0
+    _ERROR = InvalidTreeError
 
-    def _index(self) -> Index:
-        """The tree numbered by in-order, shared by every view."""
-        ix = self._cache.get("index")
-        if ix is None:
-            ix = self._cache["index"] = index(self.root)
-        return ix
+    @staticmethod
+    def _tokens(text: str) -> list[str]:
+        return text.replace("(", " ( ").replace(")", " ) ").split()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiskTree) and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash(self.root)
-
-    def __repr__(self) -> str:
-        return f"DiskTree.parse({self.to_text()!r})"
+    @property
+    def root(self) -> Node:
+        return self._root
 
     # -- basic views ----------------------------------------------------
 
     @property
     def size(self) -> int:
         """Number of nodes (= n - 1 for the length-n permutation)."""
-        return len(self._index().nodes) - 1
-
-    @property
-    def n(self) -> int:
-        return self.size + 1
-
-    def labels(self) -> tuple[str, ...]:
-        """Node labels in in-order; index i-1 holds node i's label."""
-        if "labels" not in self._cache:
-            nodes = islice(self._index().nodes, 1, None)
-            self._cache["labels"] = tuple([node[0] for node in nodes])
-        return self._cache["labels"]
+        return self.n - 1
 
     def n_minus(self) -> int:
         return self.labels().count(MINUS)
 
-    def minus_positions(self) -> frozenset[int]:
-        return frozenset(i for i, l in enumerate(self.labels(), 1) if l == MINUS)
-
-    def _arrays(self):
-        """Parent/child arrays keyed by in-order id (index 0 unused)."""
-        ix = self._index()
-        return ix.left, ix.right, ix.parent
-
     def _walk(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        walk = self._cache.get("walk")
-        if walk is None:
-            walk = self._cache["walk"] = _chain_walk(self._index())
-        return walk
+        try:
+            return self._walk_memo
+        except AttributeError:
+            self._walk_memo = _chain_walk(self._kept_index())
+            return self._walk_memo
 
     def chain_nodes(self) -> tuple[tuple[int, ...], ...]:
         """In-order ids of each right chain, terminal first, in chain order.
@@ -242,10 +205,12 @@ class DiskTree:
         lock/hang attachments are built here, on the first call, and
         cached.  Only the bijection's searches need them.
         """
-        if "chains" in self._cache:
-            return self._cache["chains"]
-        labels = self.labels()
-        left, right, parent = self._arrays()
+        try:
+            return self._view_memo
+        except AttributeError:
+            pass
+        ix = self._kept_index()
+        left, right, parent = ix.left, ix.right, ix.parent
         raw_chains, chain_of = self._walk()
 
         # Levels and groups: lock keeps both, hang descends and opens a group.
@@ -253,7 +218,7 @@ class DiskTree:
         # attaches to, whose terminal is an ancestor, is settled before it.
         level = [0] * (len(raw_chains) + 1)
         group_key = [0] * (len(raw_chains) + 1)
-        for t in reversed(self._index().post):
+        for t in reversed(ix.post):
             p = parent[t]
             if p == 0 or left[p] != t:
                 continue
@@ -281,7 +246,7 @@ class DiskTree:
                 ChainRecord(
                     index=ci,
                     nodes=nodes,
-                    starts_with=labels[t - 1],
+                    starts_with=ix.nodes[t][0],
                     level=level[ci],
                     attachment=attachment,
                     group=group_ids[group_key[ci]],
@@ -303,9 +268,8 @@ class DiskTree:
             )
             for g in sorted(members)
         )
-        view = RightChainView(tuple(chains), groups)
-        self._cache["chains"] = view
-        return view
+        self._view_memo = RightChainView(tuple(chains), groups)
+        return self._view_memo
 
     def chain_index_of(self, node_id: int) -> int:
         """Chain (1-based index in chain order) containing the given node."""
@@ -319,7 +283,7 @@ class DiskTree:
     def to_word(self) -> SchroderWord:
         """The word whose expression is this tree's root, sharing its
         in-order numbering."""
-        return SchroderWord._from_index(self._index())
+        return SchroderWord._from_index(self._kept_index())
 
     def to_perm(self) -> Permutation:
         return Permutation(index_values(self._index()))
@@ -349,15 +313,7 @@ class DiskTree:
 
     # -- serialization ----------------------------------------------------
 
-    def to_text(self) -> str:
-        return render(self._index(), "_", _OPENS, _MIDS)
-
-    @classmethod
-    def parse(cls, text: str) -> "DiskTree":
-        """Read the text form; raises InvalidTreeError for text off the
-        grammar or a right chain that does not alternate."""
-        tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        return cls(parse(tokens, "_", (PLUS, MINUS), 0, InvalidTreeError))
+    to_text = CheckedTree._text
 
     def to_json_obj(self):
         """Nested ``{"label", "left", "right"}`` objects, None when empty."""
@@ -372,17 +328,6 @@ class DiskTree:
         """JSON text of ``to_json_obj``, as ``json.dumps`` writes it, at any
         depth."""
         return render(self._index(), "null", _JSON_OPENS, _JSON_MIDS, "}")
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "DiskTree":
-        """Tree of ``to_json_obj``'s form, checked as ``from_json`` does."""
-        try:
-            text = json.dumps(obj)
-        except (TypeError, ValueError) as exc:
-            raise InvalidTreeError(f"not a tree in JSON form: {exc}") from None
-        except RecursionError:
-            raise InvalidTreeError(TOO_DEEP_FOR_JSON) from None
-        return cls.from_json(text)
 
     @classmethod
     def from_json(cls, text: str) -> "DiskTree":
@@ -461,14 +406,6 @@ class TreeShape:
     def r(self) -> int:
         return len(self.chain_lengths())
 
-    @property
-    def r_odd(self) -> int:
-        return sum(1 for l in self.chain_lengths() if l % 2 == 1)
-
-    @property
-    def r_even(self) -> int:
-        return sum(1 for l in self.chain_lengths() if l % 2 == 0)
-
     def labelings(self) -> Iterator[DiskTree]:
         """All 2^r di-sk trees with this shape (choose each chain's start).
 
@@ -495,7 +432,7 @@ def word_to_tree(w: SchroderWord) -> DiskTree:
     the i-th in-order node of the tree, so the right-chain restriction on
     words is exactly the alternation condition on trees.
     """
-    return DiskTree._from_index(w._index)
+    return DiskTree._from_index(w._kept_index())
 
 
 def tree_to_word(t: DiskTree) -> SchroderWord:
@@ -509,10 +446,6 @@ def perm_to_tree(p: Permutation) -> DiskTree:
     5
     """
     return word_to_tree(sweep(p))
-
-
-def tree_to_perm(t: DiskTree) -> Permutation:
-    return t.to_perm()
 
 
 @lru_cache(maxsize=None)
@@ -581,4 +514,4 @@ def enumerate_trees(n: int, n_minus: Optional[int] = None) -> Iterator[DiskTree]
         roots = _gen_trees(n - 1, None)
     else:
         roots = _by_minus_count(n - 1)[n_minus] if 0 <= n_minus < n else ()
-    return (DiskTree(t, _validate_labels=False) for t in roots)
+    return (DiskTree(t, _validate=False) for t in roots)

@@ -31,12 +31,10 @@ Grammar for the textual form (whitespace ignored on parse, never emitted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator
 
-from .nested import Index, Node, check, index, parse, render, sizes
+from .nested import MINUS, PLUS, CheckedTree, Index, Node, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
@@ -44,9 +42,6 @@ from .permutations import (
     find_pattern,
     separating_pass,
 )
-
-PLUS = "+"
-MINUS = "-"
 
 
 class InvalidWordError(ValueError):
@@ -65,42 +60,25 @@ class NotSeparableError(ValueError):
         )
 
 
-# Tokens of the textual form per operator: "(" before the left operand,
-# the operator between the operands.
-_OPENS = {PLUS: "(", MINUS: "("}
-_MIDS = {PLUS: PLUS, MINUS: MINUS}
-
-
-@dataclass(frozen=True)
-class SchroderWord:
+class SchroderWord(CheckedTree):
     """A valid Schröder word, wrapping its expression tree."""
 
-    expr: Node
+    __slots__ = ()
 
-    def __init__(self, expr: Node, _validate: bool = True):
-        object.__setattr__(self, "expr", expr)
-        if _validate:
-            # A word that is checked is usually walked again, as sweep's
-            # words are; words enumerated by the thousand are not checked
-            # and keep no numbering, so a list of them stays small.
-            self.__dict__["_ix"] = check(expr, (PLUS, MINUS), InvalidWordError)
+    _ATOM = "1"
+    _OPENS = {PLUS: "(", MINUS: "("}
+    _MIDS = {PLUS: PLUS, MINUS: MINUS}
+    _OP_AT = 1
+    _ERROR = InvalidWordError
 
-    @classmethod
-    def _from_index(cls, ix: Index) -> "SchroderWord":
-        """An unvalidated word whose in-order numbering is already known."""
-        word = cls(ix.root, _validate=False)
-        word.__dict__["_ix"] = ix
-        return word
+    @staticmethod
+    def _tokens(text: str) -> str:
+        return "".join(text.split())
 
     @property
-    def _index(self) -> Index:
-        """The expression numbered by in-order, shared by every view."""
-        return self.__dict__.get("_ix") or index(self.expr)
-
-    @property
-    def n(self) -> int:
-        """Number of leaves."""
-        return len(self._index.nodes)
+    def expr(self) -> Node:
+        """The expression: ``(op, left, right)`` triples, None for ``1``."""
+        return self._root
 
     def operators(self) -> tuple[str, ...]:
         """Operators in left-to-right textual order.
@@ -108,28 +86,9 @@ class SchroderWord:
         >>> SchroderWord.parse("((1+1)-1)").operators()
         ('+', '-')
         """
-        return tuple([node[0] for node in islice(self._index.nodes, 1, None)])
+        return self.labels()
 
-    def minus_positions(self) -> frozenset[int]:
-        """1-based positions of ``-`` in the operator sequence."""
-        return frozenset(
-            i for i, op in enumerate(self.operators(), start=1) if op == MINUS
-        )
-
-    def __str__(self) -> str:
-        return render(self._index, "1", _OPENS, _MIDS)
-
-    def __repr__(self) -> str:
-        return f"SchroderWord.parse({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "SchroderWord":
-        """Read the text form; whitespace is ignored.
-
-        Raises InvalidWordError for text off the grammar, and for a word
-        that breaks the right-chain restriction.
-        """
-        return cls(parse("".join(text.split()), "1", (PLUS, MINUS), 1, InvalidWordError))
+    __str__ = CheckedTree._text
 
 
 def sweep(p: Permutation) -> SchroderWord:
@@ -205,7 +164,7 @@ def word_to_perm(w: SchroderWord) -> Permutation:
     >>> str(word_to_perm(SchroderWord.parse("((1+1)-1)")))
     '231'
     """
-    return Permutation(index_values(w._index))
+    return Permutation(index_values(w._index()))
 
 
 def enumerate_words(n: int) -> Iterator[SchroderWord]:

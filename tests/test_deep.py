@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descpoly.permutations import Permutation, is_separable, parse_permutation
-from descpoly.trees import DiskTree, InvalidTreeError, word_to_tree
+from descpoly.trees import DiskTree, InvalidTreeError, perm_to_tree, word_to_tree
 from descpoly.words import NotSeparableError, SchroderWord, sweep, word_to_perm
 
 BIG = 10**5
@@ -113,6 +113,18 @@ def test_repr_of_a_deep_word():
     assert repr(word) == f"SchroderWord.parse({text!r})"
     assert str(SchroderWord.parse(text)) == text
     assert repr(word_to_tree(word)) == f"DiskTree.parse({word_to_tree(word).to_text()!r})"
+
+
+@pytest.mark.parametrize("build", [sweep, perm_to_tree], ids=["word", "tree"])
+def test_equality_of_deep_words_and_trees(build):
+    # a left comb of 1499 nodes: == on its nested root recurses past the
+    # recursion limit, the values' own == does not
+    identity = Permutation(tuple(range(1, 1501)))
+    a, b = build(identity), build(identity)
+    assert a == b and not a != b and hash(a) == hash(b)
+    # the same comb with its deepest label flipped
+    other = build(Permutation((2, 1, *range(3, 1501))))
+    assert a != other and not a == other
 
 
 def test_right_comb_of_1e5():

@@ -57,6 +57,12 @@ def test_gamma_expansion_small():
     assert g3.as_dict() == {(0, 2): 1, (1, 0): 2}
 
 
+def test_two_var_poly_is_memoized():
+    assert two_var_poly(6) is two_var_poly(6)
+    assert gessel_gamma(6).as_dict() == {
+        (0, 5): 1, (1, 1): 1, (1, 2): 21, (1, 3): 30, (2, 0): 28, (2, 1): 108}
+
+
 def test_gamma_expansion_reconstructs():
     for n in range(2, 7):
         g = gessel_gamma(n)

@@ -55,7 +55,7 @@ def test_format():
 
 def test_json_roundtrip():
     p = IntPolynomial((3, 0, -2))
-    assert IntPolynomial.from_json(p.to_json()) == p
+    assert IntPolynomial(p.to_json()) == p
 
 
 def test_unimodal():

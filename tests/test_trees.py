@@ -86,13 +86,29 @@ def test_words_and_trees_share_one_node_type():
         assert t.root is w.expr
         back = t.to_word()
         assert back.expr is t.root and tree_to_word(t).expr is t.root
-        assert back._index is t._index()
+        assert back._index() is t._index()
     for w in checked:
-        assert word_to_tree(w)._index() is w._index
+        assert word_to_tree(w)._index() is w._index()
     for t in [*enumerate_trees(5), DiskTree.parse("(- (+ _ _) _)"), perm_to_tree(RUNNING_EXAMPLE)]:
         w = t.to_word()
-        assert w.expr is t.root and w._index is t._index()
+        assert w.expr is t.root and w._index() is t._index()
         assert word_to_tree(w).root is t.root
+
+
+def test_enumerated_values_keep_no_numbering_until_a_view_asks():
+    from descpoly.words import enumerate_words, word_to_perm
+
+    for w, t in zip(enumerate_words(5), enumerate_trees(5)):
+        # walks that hand back a new object number an enumerated value
+        # afresh and keep nothing
+        str(w), repr(w), word_to_perm(w), t.to_text(), t.to_perm()
+        assert w._ix is None and t._ix is None
+        # a view keeps the numbering it shares, on both sides
+        assert word_to_tree(w)._index() is w._ix is not None
+        assert t.to_word()._index() is t._ix is not None
+    for value in (sweep(RUNNING_EXAMPLE), SchroderWord.parse("((1+1)-1)"),
+                  DiskTree.parse("(- (+ _ _) _)"), perm_to_tree(RUNNING_EXAMPLE)):
+        assert value._ix is not None and value._index() is value._ix
 
 
 def test_perm_to_tree_statistic():
@@ -134,7 +150,7 @@ def test_same_level_terminals_share_a_left_chain():
     for n in range(2, 8):
         for t in enumerate_trees(n):
             view = t.right_chains()
-            _, _, parent = t._arrays()
+            parent = t._index().parent
             for g in view.groups:
                 run = [view.chains[ci - 1] for ci in g.chains]
                 for lower, upper in zip(run, run[1:]):

@@ -274,6 +274,15 @@ def test_cli_verify_tables(capsys):
     assert "suite tables:" in out and " 0 fail" in out
 
 
+def test_cli_verify_writes_nothing_to_the_cache(tmp_path, capsys):
+    # the JSON report, unlike the text one, holds no timings
+    assert main(["--format", "json", "verify", "tables"]) == 0
+    report = capsys.readouterr().out
+    assert main(["--format", "json", "--cache-dir", str(tmp_path), "verify", "tables"]) == 0
+    assert capsys.readouterr().out == report
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_verify_json(capsys):
     assert main(["--format", "json", "verify", "conjectures", "--max-n", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
