@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .errors import InvariantError
 from .nested import rebuild
 from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView
 from .words import MINUS, PLUS
@@ -40,14 +41,6 @@ REPAIR_CASES = (1, 2, 3, 4, 5, 6)
 
 class FamilyError(ValueError):
     """Input tree is outside the family a map or search expects."""
-
-
-class InvariantError(AssertionError):
-    """A claim of the case analysis or a map's post-condition failed.
-
-    A subclass of AssertionError, so code that catches failed assertions
-    catches it too; it is raised explicitly, so ``python -O`` keeps it.
-    """
 
 
 def _ensure(ok: bool, claim: str, *context) -> None:

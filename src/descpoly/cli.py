@@ -13,10 +13,17 @@ Subcommands:
     verify <suite> [--max-n N]         run a verification suite
 
 Exit codes: 0 success, 1 check failure (including a non-separable input to
-``sweep``), 2 usage or domain error, 3 resource cap exceeded: enumeration
-past the brute-force cap (``poly ... --method enum``, ``gamma N``) or an
-rc-index past its ceiling.  Exit 3 prints one ``error:`` line on stderr
-and nothing on stdout.
+``sweep`` and a failed library invariant, ``InvariantError``) or an
+internal error, 2 usage or domain error, 3 resource cap exceeded
+(``ResourceCapError``): enumeration past the brute-force cap (``poly ...
+--method enum``, ``gamma N``) or an rc-index past its ceiling.  Exit 3
+prints one ``error:`` line on stderr and nothing on stdout.  Any other
+exception of a subcommand exits 1 with the one line ``error: internal
+error: <type>: <message>`` on stderr and no traceback.
+
+Each subcommand imports the modules it uses when it runs, so ``--help``
+loads no computational module and ``sweep`` loads only ``nested``,
+``permutations`` and ``words``.
 """
 
 from __future__ import annotations
@@ -26,19 +33,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import families
-from .bijection import FamilyError, InvariantError, phi, psi
-from .permutations import parse_permutation
-from .polynomials import NotPalindromicError, format_poly, gamma_decompose
-from .rcindex import rc_index
-from .trees import TOO_DEEP_FOR_JSON, DiskTree, InvalidTreeError, perm_to_tree
-from .verify import SUITES, PolyCache, verify_suite
-from .words import InvalidWordError, NotSeparableError, sweep
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# The keys of families.PolyCache.FAMILIES and of verify.SUITES, sorted;
+# spelled out so that building the parser imports neither module.
+FAMILY_NAMES = ("A", "D", "Dtilde", "Gamma", "S")
+SUITE_NAMES = ("bijection", "conjectures", "identities", "tables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
 
     p = sub.add_parser("poly", help="polynomial family member")
-    p.add_argument("family", choices=sorted(PolyCache.FAMILIES))
+    p.add_argument("family", choices=FAMILY_NAMES)
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=("enum", "rec"), default="rec")
 
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file holding a tree in text or JSON form")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--max-n", type=int, default=None)
 
     return parser
@@ -107,7 +110,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _chain_view_text(tree: DiskTree) -> str:
+def _chain_view_text(tree) -> str:
     view = tree.right_chains()
     lines = [f"chains: {view.r} (odd {view.r_odd}, even {view.r_even})"]
     for c in view.chains:
@@ -118,7 +121,7 @@ def _chain_view_text(tree: DiskTree) -> str:
     return "\n".join(lines)
 
 
-def _emit_not_separable(args, exc: NotSeparableError) -> int:
+def _emit_not_separable(args, exc) -> int:
     positions = list(exc.positions)
     _emit(args, {"separable": False, "pattern": str(exc.pattern), "positions": positions},
           f"NotSeparable: pattern {exc.pattern} at positions {positions}")
@@ -126,6 +129,9 @@ def _emit_not_separable(args, exc: NotSeparableError) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .permutations import parse_permutation
+    from .words import NotSeparableError, sweep
+
     perm = parse_permutation(args.perm)
     try:
         word = sweep(perm)
@@ -136,6 +142,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    from .permutations import parse_permutation
+    from .trees import TOO_DEEP_FOR_JSON, InvalidTreeError, perm_to_tree
+    from .words import NotSeparableError
+
     perm = parse_permutation(args.perm)
     try:
         tree = perm_to_tree(perm)
@@ -153,6 +163,9 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from .families import PolyCache
+    from .polynomials import format_poly
+
     if args.cache_dir is not None and args.method == "rec":
         poly = PolyCache(args.cache_dir).get(args.family, args.n)
     else:
@@ -165,13 +178,16 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .families import eulerian_poly, narayana_poly, separable_poly
+    from .polynomials import NotPalindromicError, gamma_decompose
+
     n = args.n
     if args.family == "S":
-        poly = families.separable_poly(n)
+        poly = separable_poly(n)
     elif args.family == "A":
-        poly = families.eulerian_poly(n)
+        poly = eulerian_poly(n)
     else:
-        poly = families.narayana_poly(n)
+        poly = narayana_poly(n)
     try:
         vec = gamma_decompose(poly, n - 1)
     except NotPalindromicError as exc:
@@ -185,6 +201,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_rc_index(args) -> int:
+    from .polynomials import format_poly
+    from .rcindex import rc_index
+
     idx = rc_index(args.n)
     if args.eval_at is not None:
         value = idx.evaluate(args.eval_at)
@@ -198,6 +217,9 @@ def _cmd_rc_index(args) -> int:
 
 
 def _cmd_bij(args) -> int:
+    from .bijection import phi, psi
+    from .trees import DiskTree
+
     text = args.tree.read_text().strip()
     if text.startswith("{"):
         tree = DiskTree.from_json(text)
@@ -211,6 +233,8 @@ def _cmd_bij(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_suite
+
     report = verify_suite(args.suite, args.max_n)
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), indent=1, sort_keys=True))
@@ -235,17 +259,27 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InvariantError as exc:
-        # A library check failed: the answer cannot be trusted.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except families.ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, KeyError, OSError, InvalidWordError, InvalidTreeError,
-            FamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Every error of a subcommand ends in an exit code and one line.
+    except Exception as exc:  # noqa: BLE001
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the message for an exception of a subcommand."""
+    # Every module that raises the two classes imports descpoly.errors, so
+    # an exception of either can exist only once that module is loaded.
+    errors = sys.modules.get("descpoly.errors")
+    if errors is not None:
+        if isinstance(exc, errors.InvariantError):
+            # A library check failed: the answer cannot be trusted.
+            return EXIT_CHECK_FAILED, str(exc)
+        if isinstance(exc, errors.ResourceCapError):
+            return EXIT_RESOURCE, str(exc)
+    if isinstance(exc, (ValueError, KeyError, OSError)):
+        return EXIT_USAGE, str(exc)
+    return EXIT_CHECK_FAILED, f"internal error: {type(exc).__name__}: {exc}"
 
 
 if __name__ == "__main__":

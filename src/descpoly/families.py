@@ -25,13 +25,21 @@ and interleave in a strict *spiral*: reading positions outside-in (highest,
 lowest, next-highest, ...) gives an increasing chain, with the single
 permitted equality d(4, 1) = d(4, 2) = 4.  The complement family satisfies
 the mirrored spiral with the analogous equality at n = 4.
+
+``PolyCache`` stores members of the five families on disk, one checked
+JSON file per (family, n).
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
+from typing import Optional
 
+from .errors import ResourceCapError
 from .nested import LABELS
 from .permutations import (
     all_permutations,
@@ -39,17 +47,18 @@ from .permutations import (
     desarrangements,
     separable_permutations,
 )
-from .polynomials import GammaVector, IntPolynomial, binomial, gamma_decompose
+from .polynomials import (
+    GammaVector,
+    IntPolynomial,
+    binomial,
+    gamma_decompose,
+    is_palindromic,
+)
 
 # Largest n that the enumeration oracles run at.
 BRUTE_FORCE_CAP = 8
 
 ONE_PLUS_T = IntPolynomial((1, 1))
-
-
-class ResourceCapError(ValueError):
-    """Raised for a request past a fixed resource cap: enumeration past
-    ``BRUTE_FORCE_CAP``, or an rc-index past its ceiling."""
 
 
 def _check_cap(n: int) -> None:
@@ -475,3 +484,81 @@ def verify_series_identity(n: int, order: int) -> bool:
     for r in range(1, order + 2):
         rhs = rhs + IntPolynomial.monomial(r - 1, power_tail(r, n))
     return lhs == rhs.truncate(order)
+
+
+# ---------------------------------------------------------------------------
+# polynomial cache
+
+
+class PolyCache:
+    """One small JSON file per (family, n); diffable and auditable.
+
+    A stored entry is served only when its ``format_version``, ``family``
+    and ``n`` fields match, its coefficients are integers, its degree is
+    below n, and, for S, it is palindromic of darga n - 1.  Otherwise it
+    counts as a miss: the polynomial is recomputed and the file rewritten.
+    Writes go through a temporary file in the same directory and
+    ``os.replace``, so a reader never sees half a file.
+    """
+
+    FORMAT_VERSION = 1
+    FAMILIES = {
+        "S": separable_poly,
+        "D": derangement_poly,
+        "A": eulerian_poly,
+        "Dtilde": complement_poly,
+        "Gamma": gamma_poly,
+    }
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+
+    def path(self, family: str, n: int) -> Path:
+        return self.directory / f"{family}_{n}.json"
+
+    def get(self, family: str, n: int) -> IntPolynomial:
+        if family not in self.FAMILIES:
+            raise KeyError(f"unknown family {family!r}")
+        p = self.path(family, n)
+        poly = self._read(p, family, n)
+        if poly is not None:
+            return poly
+        poly = self.FAMILIES[family](n)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(
+                json.dumps(
+                    {
+                        "format_version": self.FORMAT_VERSION,
+                        "family": family,
+                        "n": n,
+                        "coeffs": poly.to_json(),
+                    },
+                    indent=1,
+                )
+            )
+            os.replace(tmp, p)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return poly
+
+    def _read(self, p: Path, family: str, n: int) -> Optional[IntPolynomial]:
+        """The stored polynomial, or None for a missing or bad entry."""
+        try:
+            data = json.loads(p.read_text())
+        except (OSError, ValueError, RecursionError):
+            return None
+        if not (isinstance(data, dict)
+                and data.get("format_version") == self.FORMAT_VERSION
+                and data.get("family") == family
+                and type(data.get("n")) is int and data["n"] == n):
+            return None
+        coeffs = data.get("coeffs")
+        if (type(coeffs) is not list or len(coeffs) > n
+                or any(type(c) is not int for c in coeffs)):
+            return None
+        poly = IntPolynomial(coeffs)
+        if family == "S" and not is_palindromic(poly, n - 1):
+            return None
+        return poly

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .bijection import InvariantError
+from .errors import InvariantError
 from .families import _check_cap, separable_gamma
 from .permutations import all_permutations
 

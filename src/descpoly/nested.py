@@ -323,5 +323,7 @@ class CheckedTree:
         return same(self._root, other._root)
 
     def __hash__(self) -> int:
-        # CPython hashes nested tuples in C, out of the recursion limit's reach.
-        return hash(self._root)
+        # The in-order labels and the post-order of the in-order ids fix the
+        # tree.  Both are flat, where the C-level hash of the nested root
+        # recurses once per level and overflows the C stack on deep trees.
+        return hash((self.labels(), tuple(self._kept_index().post)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .families import ResourceCapError
+from .errors import ResourceCapError
 from .polynomials import IntPolynomial
 from .trees import TreeShape, enumerate_shapes
 

@@ -16,18 +16,16 @@ time is excluded from the JSON form.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from . import families, rcindex
 from .bijection import bijection_certificate, classify, order_independence_certificate
+from .families import PolyCache  # noqa: F401  (re-exported under its old name)
 from .gessel import GesselGamma, gessel_gamma, two_var_poly
 from .permutations import all_permutations, separable_permutations
-from .polynomials import IntPolynomial, is_palindromic, is_unimodal
+from .polynomials import is_palindromic, is_unimodal
 from .realroots import is_real_rooted
 from .trees import enumerate_shapes, enumerate_trees, word_to_tree
 from .words import enumerate_words, sweep, word_to_perm
@@ -399,95 +397,23 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 
 
 def verify_suite(name: str, max_n: Optional[int] = None) -> VerificationReport:
-    """Run one named suite, optionally overriding its exhaustive depth."""
+    """Run one named suite, optionally overriding its exhaustive depth.
+
+    Raises ValueError for a depth below 1, and for any depth given to the
+    ``tables`` suite, which has none.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if max_n is not None and name == "tables":
+        raise ValueError("the tables suite has no depth to set")
     start = time.monotonic()
     if max_n is None:
         report = SUITES[name]()
     elif name == "conjectures":
         report = conjectures_suite(max_n_spiral=max_n)
-    elif name == "tables":
-        report = tables_suite()
     else:
         report = SUITES[name](max_n)
     report.wall_time = time.monotonic() - start
     return report
-
-
-# ---------------------------------------------------------------------------
-# polynomial cache
-
-
-class PolyCache:
-    """One small JSON file per (family, n); diffable and auditable.
-
-    A stored entry is served only when its ``format_version``, ``family``
-    and ``n`` fields match, its coefficients are integers, its degree is
-    below n, and, for S, it is palindromic of darga n - 1.  Otherwise it
-    counts as a miss: the polynomial is recomputed and the file rewritten.
-    Writes go through a temporary file in the same directory and
-    ``os.replace``, so a reader never sees half a file.
-    """
-
-    FORMAT_VERSION = 1
-    FAMILIES = {
-        "S": families.separable_poly,
-        "D": families.derangement_poly,
-        "A": families.eulerian_poly,
-        "Dtilde": families.complement_poly,
-        "Gamma": families.gamma_poly,
-    }
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-
-    def path(self, family: str, n: int) -> Path:
-        return self.directory / f"{family}_{n}.json"
-
-    def get(self, family: str, n: int) -> IntPolynomial:
-        if family not in self.FAMILIES:
-            raise KeyError(f"unknown family {family!r}")
-        p = self.path(family, n)
-        poly = self._read(p, family, n)
-        if poly is not None:
-            return poly
-        poly = self.FAMILIES[family](n)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "format_version": self.FORMAT_VERSION,
-                        "family": family,
-                        "n": n,
-                        "coeffs": poly.to_json(),
-                    },
-                    indent=1,
-                )
-            )
-            os.replace(tmp, p)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return poly
-
-    def _read(self, p: Path, family: str, n: int) -> Optional[IntPolynomial]:
-        """The stored polynomial, or None for a missing or bad entry."""
-        try:
-            data = json.loads(p.read_text())
-        except (OSError, ValueError, RecursionError):
-            return None
-        if not (isinstance(data, dict)
-                and data.get("format_version") == self.FORMAT_VERSION
-                and data.get("family") == family
-                and type(data.get("n")) is int and data["n"] == n):
-            return None
-        coeffs = data.get("coeffs")
-        if (type(coeffs) is not list or len(coeffs) > n
-                or any(type(c) is not int for c in coeffs)):
-            return None
-        poly = IntPolynomial(coeffs)
-        if family == "S" and not is_palindromic(poly, n - 1):
-            return None
-        return poly

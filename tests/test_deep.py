@@ -8,6 +8,8 @@ which recurses in C once per level.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +128,22 @@ def test_equality_of_deep_words_and_trees(build):
     other = build(Permutation((2, 1, *range(3, 1501))))
     assert a != other and not a == other
 
+
+
+def test_hash_of_3e5_level_trees_in_a_fresh_interpreter():
+    # Hashing the nested root in C overflowed the C stack at this depth and
+    # killed the interpreter, so the check runs in a process of its own.
+    code = (
+        "from descpoly.permutations import Permutation\n"
+        "from descpoly.trees import perm_to_tree\n"
+        "identity = Permutation(tuple(range(1, 300001)))\n"
+        "a, b = perm_to_tree(identity), perm_to_tree(identity)\n"
+        "assert a is not b and a.root is not b.root\n"
+        "assert hash(a) == hash(b)\n"
+        "print({a: 'found'}[b])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "found\n", "")
 
 def test_right_comb_of_1e5():
     values, text = right_comb(BIG)

@@ -1,0 +1,126 @@
+"""The import contract: ``import descpoly`` is lazy, each subcommand loads
+only the modules it uses, and the package keeps its public names.
+
+Each check of ``sys.modules`` runs in a fresh interpreter.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import descpoly
+from descpoly import cli
+from descpoly.families import PolyCache
+from descpoly.verify import SUITES
+
+# The public names, by the module the package imported each from before it
+# became lazy.
+OLD_HOMES = {
+    "bijection": [
+        "FamilyError", "InvariantError", "Violation", "bijection_certificate",
+        "classify", "family_one_violations", "family_two_violations",
+        "find_adjoint", "find_repair_chain", "order_independence_certificate",
+        "phi", "psi",
+    ],
+    "families": [
+        "BRUTE_FORCE_CAP", "ResourceCapError", "catalan", "complement_poly",
+        "complement_spiral_report", "cubic_equation_residual",
+        "derangement_count", "derangement_poly", "desarrangement_histogram",
+        "eulerian_gamma", "eulerian_poly", "gamma_poly", "narayana_poly",
+        "schroder_number", "separable_gamma", "separable_poly",
+        "separable_split", "spiral_report", "verify_series_identity",
+    ],
+    "gessel": ["GesselGamma", "Indeterminate", "gessel_gamma", "two_var_poly"],
+    "permutations": [
+        "Permutation", "all_permutations", "derangements", "desarrangements",
+        "insert_value", "is_separable", "parse_permutation",
+        "separable_permutations",
+    ],
+    "polynomials": [
+        "GammaVector", "IntPolynomial", "NotPalindromicError",
+        "gamma_decompose", "is_palindromic", "is_unimodal",
+    ],
+    "realroots": ["is_real_rooted", "real_root_count"],
+    "rcindex": ["RCIndex", "gamma_from_shapes", "monomial_of_shape", "rc_index"],
+    "trees": [
+        "DiskTree", "InvalidTreeError", "TreeShape", "enumerate_shapes",
+        "enumerate_trees", "perm_to_tree", "tree_to_word", "word_to_tree",
+    ],
+    "verify": ["PolyCache", "VerificationReport", "verify_suite"],
+    "words": [
+        "InvalidWordError", "NotSeparableError", "SchroderWord",
+        "enumerate_words", "sweep", "word_to_perm",
+    ],
+}
+OLD_NAMES = sorted(name for names in OLD_HOMES.values() for name in names)
+
+
+def loaded_by(code: str) -> set[str]:
+    """The descpoly submodules in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter, without the package and its ``__main__``."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    modules = json.loads(result.stderr.splitlines()[-1])
+    return {m.split(".", 1)[1] for m in modules
+            if m.startswith("descpoly.")} - {"__main__"}
+
+
+def loaded_by_command(*argv: str) -> set[str]:
+    """The submodules that ``python -m descpoly ARGV`` loads."""
+    return loaded_by(
+        "import runpy, sys\n"
+        f"sys.argv = ['descpoly', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('descpoly', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+    )
+
+
+def test_import_descpoly_loads_no_submodule():
+    assert loaded_by("import descpoly") == set()
+
+
+def test_help_loads_only_the_cli():
+    assert loaded_by_command("--help") == {"cli"}
+
+
+def test_sweep_and_tree_load_only_their_modules():
+    assert loaded_by_command("sweep", "2413") == {"cli", "nested", "permutations", "words"}
+    assert loaded_by_command("tree", "2143") == {"cli", "nested", "permutations", "words",
+                                                 "trees"}
+
+
+def test_poly_from_the_cache_loads_no_verification_module(tmp_path):
+    loaded = loaded_by_command("poly", "S", "24", "--cache-dir", str(tmp_path))
+    assert "families" in loaded
+    assert loaded.isdisjoint({"bijection", "gessel", "verify", "realroots"})
+
+
+def test_public_names_are_the_old_ones():
+    assert sorted(descpoly.__all__) == OLD_NAMES
+    assert len(OLD_NAMES) == 72
+    namespace = {}
+    exec("from descpoly import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == OLD_NAMES
+    assert set(OLD_NAMES) <= set(dir(descpoly))
+
+
+@pytest.mark.parametrize("module", sorted(OLD_HOMES))
+def test_each_name_is_the_object_at_its_old_home(module):
+    home = importlib.import_module(f"descpoly.{module}")
+    for name in OLD_HOMES[module]:
+        assert getattr(descpoly, name) is getattr(home, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nonsense"):
+        descpoly.nonsense  # noqa: B018
+
+
+def test_parser_choices_match_the_tables():
+    assert cli.FAMILY_NAMES == tuple(sorted(PolyCache.FAMILIES))
+    assert cli.SUITE_NAMES == tuple(sorted(SUITES))

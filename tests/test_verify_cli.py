@@ -364,3 +364,39 @@ def test_cli_bij_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: psi lands in family one")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+def test_cli_internal_error_exits_1_with_one_line(error, capsys, monkeypatch):
+    import descpoly.cli as cli
+
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_sweep", broken)
+    assert main(["sweep", "21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "identities", "--max-n", "0"],
+    ["verify", "conjectures", "--max-n", "-5"],
+    ["verify", "bijection", "--max-n", "0"],
+    ["verify", "tables", "--max-n", "-1"],
+    ["verify", "tables", "--max-n", "6"],
+])
+def test_cli_verify_rejects_a_vacuous_max_n(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, max_n", [("identities", 0), ("conjectures", -5),
+                                          ("bijection", 0), ("tables", 3)])
+def test_verify_suite_rejects_a_vacuous_max_n(name, max_n):
+    with pytest.raises(ValueError):
+        verify_suite(name, max_n)
