@@ -102,10 +102,13 @@ def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=1, sort_keys=True))
     elif args.format == "csv":
+        import csv
+
         keys = sorted(payload)
-        row = ",".join(str(payload[k]) for k in keys)
-        print(",".join(keys))
-        print(row)
+        # A list or dict cell goes in as JSON text; the csv module quotes it.
+        row = [json.dumps(v) if isinstance(v, (list, dict)) else v
+               for v in map(payload.get, keys)]
+        csv.writer(sys.stdout, lineterminator="\n").writerows([keys, row])
     else:
         print(text)
 

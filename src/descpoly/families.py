@@ -12,19 +12,20 @@ All polynomials live in exact integer arithmetic:
 
 Each family satisfies a defining recurrence, and the enumeration methods
 recompute small cases from scratch as independent oracles, up to
-``BRUTE_FORCE_CAP``.  Each recurrence asks for the orders below n in
-increasing order, so every memo miss finds the orders below it cached and
-the recursion stays a few calls deep at any n.
+``BRUTE_FORCE_CAP``; each oracle over permutations is a histogram over the
+permutations of n that one predicate admits.  Each recurrence asks for the
+orders below n in increasing order, so every memo miss finds the orders
+below it cached and the recursion stays a few calls deep at any n.
 
 The derangement coefficients satisfy, with the boundary value d(n, n-1)
 equal to 1 for even n and 0 for odd n,
 
     d(n, k) = (k + 1) d(n-1, k) + (n - k) d(n-1, k-1)      (k < n - 1),
 
-and interleave in a strict *spiral*: reading positions outside-in (highest,
-lowest, next-highest, ...) gives an increasing chain, with the single
-permitted equality d(4, 1) = d(4, 2) = 4.  The complement family satisfies
-the mirrored spiral with the analogous equality at n = 4.
+and interleave in a strict *spiral*: reading the support from its two ends
+inward gives an increasing chain, with the single permitted equality
+d(4, 1) = d(4, 2) = 4.  The complement family satisfies the same spiral
+over its own support, with the analogous equality at n = 4.
 
 ``PolyCache`` stores members of the five families on disk, one checked
 JSON file per (family, n).
@@ -40,13 +41,6 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ResourceCapError
-from .nested import LABELS
-from .permutations import (
-    all_permutations,
-    derangements,
-    desarrangements,
-    separable_permutations,
-)
 from .polynomials import (
     GammaVector,
     IntPolynomial,
@@ -93,6 +87,25 @@ def _histogram(exponents) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def _descent_histogram(n: int, keep=None, stat=lambda p: p.des()) -> IntPolynomial:
+    """Histogram of ``stat`` over the permutations of n that ``keep``
+    admits (all of them for None): the one enumeration every oracle runs."""
+    from .permutations import all_permutations
+
+    _check_cap(n)
+    return _histogram(stat(p) for p in all_permutations(n) if keep is None or keep(p))
+
+
+def _by_enumeration(n: int, method: str) -> bool:
+    """Whether a family member is asked for by enumeration, after checking
+    n and the method name."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if method not in ("enum", "recurrence"):
+        raise ValueError(f"unknown method {method!r}")
+    return method == "enum"
+
+
 # ---------------------------------------------------------------------------
 # S_n(t)
 
@@ -113,13 +126,10 @@ def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     sum_j S_j S_{n-j-1} is C_{n-1}; each C_m is computed once and cached
     (``_self_convolution``), so an order costs O(n) products.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if method == "enum":
-        _check_cap(n)
-        return _histogram(p.des() for p in separable_permutations(n))
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
+    if _by_enumeration(n, method):
+        from .permutations import is_separable
+
+        return _descent_histogram(n, is_separable)
     return _convolution_recurrence(separable_poly, ONE_PLUS_T, n)
 
 
@@ -182,6 +192,7 @@ def separable_split(n: int) -> tuple[IntPolynomial, IntPolynomial]:
 
 def separable_split_enum(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     """Oracle for separable_split by enumerating trees rooted '+' and '-'."""
+    from .nested import LABELS
     from .trees import enumerate_trees
 
     _check_cap(n)
@@ -210,12 +221,8 @@ def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     ``"enum"`` counts the separable permutations with no double descent
     by descents (``separable_gamma_histogram``).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if method == "enum":
+    if _by_enumeration(n, method):
         return separable_gamma_histogram(n)
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
     return _convolution_recurrence(gamma_poly, IntPolynomial.one(), n)
 
 
@@ -255,9 +262,14 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
 # D_n(t), A_n(t) and the complement
 
 
-def _descent_step(prev: IntPolynomial, n: int, top: int) -> IntPolynomial:
+def _descent_recurrence(member, n: int, first: IntPolynomial, top: int) -> IntPolynomial:
     """c(n, k) = (k + 1) c(n-1, k) + (n - k) c(n-1, k-1) for k < n, plus
-    ``top`` at k = n - 1."""
+    ``top`` at k = n - 1, where ``member(m)`` is the family's order m and
+    ``first`` its order 1."""
+    if n == 1:
+        return first
+    for m in range(1, n):
+        prev = member(m)
     c = (0,) + prev.coeffs + (0,) * (n - len(prev.coeffs))  # c[k + 1] = c(n-1, k)
     coeffs = [(k + 1) * c[k + 1] + (n - k) * c[k] for k in range(n)]
     coeffs[n - 1] += top
@@ -274,18 +286,9 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     The coefficient recurrence of A_n holds below the top; the term
     (-1)^n t^(n-1) sets the boundary d(n, n-1).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if method == "enum":
-        _check_cap(n)
-        return _histogram(p.des() for p in derangements(n))
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-    if n == 1:
-        return IntPolynomial.zero()
-    for m in range(1, n):
-        prev = derangement_poly(m)
-    return _descent_step(prev, n, (-1) ** n)
+    if _by_enumeration(n, method):
+        return _descent_histogram(n, lambda p: p.is_derangement())
+    return _descent_recurrence(derangement_poly, n, IntPolynomial.zero(), (-1) ** n)
 
 
 @lru_cache(maxsize=None)
@@ -295,18 +298,9 @@ def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     a(n, k) = (k + 1) a(n-1, k) + (n - k) a(n-1, k-1), the coefficients of
     A_n = (1 + (n-1) t) A_{n-1} + t (1 - t) A'_{n-1}.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if method == "enum":
-        _check_cap(n)
-        return _histogram(p.des() for p in all_permutations(n))
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-    if n == 1:
-        return IntPolynomial.one()
-    for m in range(1, n):
-        prev = eulerian_poly(m)
-    return _descent_step(prev, n, 0)
+    if _by_enumeration(n, method):
+        return _descent_histogram(n)
+    return _descent_recurrence(eulerian_poly, n, IntPolynomial.one(), 0)
 
 
 @lru_cache(maxsize=None)
@@ -315,18 +309,9 @@ def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     point); equals A_n - D_n and satisfies the recurrence of A_n with the
     extra term (-t)^(n-1).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if method == "enum":
-        _check_cap(n)
-        return _histogram(p.des() for p in all_permutations(n) if not p.is_derangement())
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-    if n == 1:
-        return IntPolynomial.one()
-    for m in range(1, n):
-        prev = complement_poly(m)
-    return _descent_step(prev, n, (-1) ** (n - 1))
+    if _by_enumeration(n, method):
+        return _descent_histogram(n, lambda p: not p.is_derangement())
+    return _descent_recurrence(complement_poly, n, IntPolynomial.one(), (-1) ** (n - 1))
 
 
 def eulerian_gamma(n: int) -> GammaVector:
@@ -337,20 +322,15 @@ def narayana_poly(n: int) -> IntPolynomial:
     """Descent polynomial over 231-avoiding permutations (enumeration)."""
     from .permutations import Permutation
 
-    _check_cap(n)
     pat = Permutation((2, 3, 1))
-    return _histogram(p.des() for p in all_permutations(n) if not p.contains_pattern(pat))
-
-
-def no_double_descent_histogram(perms) -> IntPolynomial:
-    """Coefficient k counts members with no double descent and k descents."""
-    return _histogram(p.des() for p in perms if p.double_descents() == 0)
+    return _descent_histogram(n, lambda p: not p.contains_pattern(pat))
 
 
 def separable_gamma_histogram(n: int) -> IntPolynomial:
     """gamma_k of S_n realized as separable permutations with dd = 0."""
-    _check_cap(n)
-    return no_double_descent_histogram(separable_permutations(n))
+    from .permutations import is_separable
+
+    return _descent_histogram(n, lambda p: p.double_descents() == 0 and is_separable(p))
 
 
 def desarrangement_histogram(n: int) -> IntPolynomial:
@@ -359,8 +339,7 @@ def desarrangement_histogram(n: int) -> IntPolynomial:
     >>> desarrangement_histogram(6).coeffs
     (0, 16, 104, 120, 24, 1)
     """
-    _check_cap(n)
-    return _histogram(p.ides() for p in desarrangements(n))
+    return _descent_histogram(n, lambda p: p.is_desarrangement(), lambda p: p.ides())
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +367,47 @@ class SpiralReport:
         return all(c.ok for c in self.checks)
 
 
-def _compare(desc: str, lo: int, hi: int, allow_equal: bool) -> SpiralCheck:
-    ok = lo <= hi if allow_equal else lo < hi
-    return SpiralCheck(desc, lo, hi, not allow_equal, ok)
+def _outside_in(lo: int, hi: int, top_first: bool) -> list[int]:
+    """lo..hi read from the two ends inward, starting at hi when
+    ``top_first`` and at lo otherwise."""
+    order = []
+    while lo <= hi:
+        if top_first:
+            order.append(hi)
+            hi -= 1
+        else:
+            order.append(lo)
+            lo += 1
+        top_first = not top_first
+    return order
+
+
+def _compare(name: str, n: int, c: IntPolynomial, a: int, b: int,
+             allow_equal: bool) -> SpiralCheck:
+    """The check c(n, a) < c(n, b), or <= when ``allow_equal``."""
+    lo, hi = c[a], c[b]
+    op = "<=" if allow_equal else "<"
+    return SpiralCheck(f"{name}({n},{a}) {op} {name}({n},{b})", lo, hi, not allow_equal,
+                       lo <= hi if allow_equal else lo < hi)
+
+
+def _spiral(family: str, name: str, n: int, c: IntPolynomial, order: list[int],
+            checks: tuple[SpiralCheck, ...] = ()) -> SpiralReport:
+    """The coefficients of c strictly rising along ``order``, after
+    ``checks``.  The one permitted equality is the innermost pair at n = 4."""
+    out = list(checks)
+    equalities: list[str] = []
+    for i, (a, b) in enumerate(zip(order, order[1:])):
+        allow = n == 4 and i == len(order) - 2
+        if allow and c[a] == c[b]:
+            equalities.append(f"{name}({n},{a}) = {name}({n},{b}) = {c[b]}")
+        out.append(_compare(name, n, c, a, b, allow))
+    return SpiralReport(n, family, tuple(out), tuple(equalities))
 
 
 def spiral_report(n: int) -> SpiralReport:
-    """Interleaving inequalities for the derangement coefficients d(n, .).
+    """Interleaving inequalities for the derangement coefficients d(n, .),
+    the support 1..deg D_n read outside-in from the top end for even n:
 
     Even n = 2m:  d(n, n-k) < d(n, k) < d(n, n-k-1) for 1 <= k <= m-1,
     except d(4, 1) = d(4, 2).  Odd n = 2m+1:
@@ -402,25 +415,8 @@ def spiral_report(n: int) -> SpiralReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    d = derangement_poly(n)
-    checks: list[SpiralCheck] = []
-    equalities: list[str] = []
-    m = n // 2
-    if n % 2 == 0:
-        for k in range(1, m):
-            checks.append(_compare(f"d({n},{n-k}) < d({n},{k})", d[n - k], d[k], False))
-            allow = n == 4 and k == 1
-            if allow and d[k] == d[n - k - 1]:
-                equalities.append(f"d({n},{k}) = d({n},{n-k-1}) = {d[k]}")
-            checks.append(
-                _compare(f"d({n},{k}) <= d({n},{n-k-1})" if allow else f"d({n},{k}) < d({n},{n-k-1})",
-                         d[k], d[n - k - 1], allow)
-            )
-    else:
-        for k in range(1, m):
-            checks.append(_compare(f"d({n},{k}) < d({n},{n-1-k})", d[k], d[n - 1 - k], False))
-            checks.append(_compare(f"d({n},{n-1-k}) < d({n},{k+1})", d[n - 1 - k], d[k + 1], False))
-    return SpiralReport(n, "derangement", tuple(checks), tuple(equalities))
+    order = _outside_in(1, n - 1, True) if n % 2 == 0 else _outside_in(1, n - 2, False)
+    return _spiral("derangement", "d", n, derangement_poly(n), order)
 
 
 def complement_spiral_report(n: int) -> SpiralReport:
@@ -430,32 +426,15 @@ def complement_spiral_report(n: int) -> SpiralReport:
     Even n:  e(n, k) < e(n, n-2-k) < e(n, k+1) for 0 <= k <= n/2 - 2,
     except e(4, 1) = e(4, 2).  Odd n:  e(n, 0) = e(n, n-1) = 1 and
     e(n, n-1-k) < e(n, k) < e(n, n-2-k) for 1 <= k <= (n-1)/2 - 1, with the
-    boundary e(n, n-1) < e(n, n-2) closing the chain.
+    boundary e(n, n-1) < e(n, n-2) opening the chain.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     e = complement_poly(n)
-    checks: list[SpiralCheck] = []
-    equalities: list[str] = []
     if n % 2 == 0:
-        for k in range(0, n // 2 - 1):
-            checks.append(_compare(f"e({n},{k}) < e({n},{n-2-k})", e[k], e[n - 2 - k], False))
-            allow = n == 4 and k == 0
-            if allow and e[n - 2 - k] == e[k + 1]:
-                equalities.append(f"e({n},{n-2-k}) = e({n},{k+1}) = {e[k+1]}")
-            checks.append(
-                _compare(f"e({n},{n-2-k}) <= e({n},{k+1})" if allow else f"e({n},{n-2-k}) < e({n},{k+1})",
-                         e[n - 2 - k], e[k + 1], allow)
-            )
-    else:
-        checks.append(_compare(f"e({n},0) <= e({n},{n-1})", e[0], e[n - 1], True))
-        checks.append(_compare(f"e({n},{n-1}) <= e({n},0)", e[n - 1], e[0], True))
-        if n >= 3:
-            checks.append(_compare(f"e({n},{n-1}) < e({n},{n-2})", e[n - 1], e[n - 2], False))
-        for k in range(1, (n - 1) // 2):
-            checks.append(_compare(f"e({n},{n-1-k}) < e({n},{k})", e[n - 1 - k], e[k], False))
-            checks.append(_compare(f"e({n},{k}) < e({n},{n-2-k})", e[k], e[n - 2 - k], False))
-    return SpiralReport(n, "complement", tuple(checks), tuple(equalities))
+        return _spiral("complement", "e", n, e, _outside_in(0, n - 2, False))
+    pair = (_compare("e", n, e, 0, n - 1, True), _compare("e", n, e, n - 1, 0, True))
+    return _spiral("complement", "e", n, e, [n - 1] + _outside_in(1, n - 2, True), pair)
 
 
 # ---------------------------------------------------------------------------

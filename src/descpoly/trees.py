@@ -371,11 +371,26 @@ def _json_node(obj: dict) -> tuple:
     return (label, left, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeShape:
-    """Unlabeled binary-tree structure; canonical key is the preorder bits."""
+    """Unlabeled binary-tree structure; canonical key is the preorder bits.
+
+    ``==``, ``hash`` and ``repr`` go through the flat ``key``: the methods a
+    dataclass generates recurse once per level of the nested structure.
+    """
 
     structure: ShapeNode
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return f"<TreeShape {self.key()}>"
 
     def _index(self) -> Index:
         return index(self.structure, 0)

@@ -221,6 +221,35 @@ def test_shape_walks_on_combs_of_1e4():
         _right_comb_tree(m).to_text(), _right_comb_tree(m).flip_chain(1).to_text()]
 
 
+def test_shapes_of_1500_levels_compare_hash_and_print():
+    # the dataclass ==, hash and repr recursed once per level of the
+    # nested structure
+    identity = Permutation(tuple(range(1, 1501)))
+    a, b = perm_to_tree(identity).shape(), perm_to_tree(identity).shape()
+    assert a.structure is not b.structure
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == f"<TreeShape {a.key()}>"
+    other = perm_to_tree(Permutation((2, 1, *range(3, 1501)))).shape()
+    assert a == other  # the labels differ, the shape does not
+    assert a != _right_comb_tree(1499).shape()
+
+
+def test_hash_of_a_3e5_level_shape_in_a_fresh_interpreter():
+    # Hashing the nested structure in C overflowed the C stack at this
+    # depth and killed the interpreter, so the check runs in a process of
+    # its own.
+    code = (
+        "from descpoly.permutations import Permutation\n"
+        "from descpoly.trees import perm_to_tree\n"
+        "identity = Permutation(tuple(range(1, 300001)))\n"
+        "a, b = perm_to_tree(identity).shape(), perm_to_tree(identity).shape()\n"
+        "assert hash(a) == hash(b) and a == b\n"
+        "print({a: 'found'}[b])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "found\n", "")
+
+
 def test_flip_chain_on_combs_of_1e4():
     m = 10**4
     right = _right_comb_tree(m)

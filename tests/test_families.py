@@ -10,6 +10,8 @@ import pytest
 from descpoly.families import (
     BRUTE_FORCE_CAP,
     ResourceCapError,
+    SpiralCheck,
+    SpiralReport,
     catalan,
     complement_poly,
     complement_spiral_report,
@@ -240,6 +242,78 @@ def test_complement_spiral_reports():
     for n in range(2, 41):
         assert complement_spiral_report(n).passed
         assert is_unimodal(complement_poly(n))
+
+
+def _check(desc, lo, hi, allow_equal):
+    return SpiralCheck(desc, lo, hi, not allow_equal, lo <= hi if allow_equal else lo < hi)
+
+
+def _indexed_spiral_report(n):
+    """The derangement spiral written out index by index, as in its
+    docstring, to pin the chain-driven report."""
+    d = derangement_poly(n)
+    checks, equalities = [], []
+    m = n // 2
+    for k in range(1, m):
+        if n % 2 == 0:
+            checks.append(_check(f"d({n},{n-k}) < d({n},{k})", d[n - k], d[k], False))
+            allow = n == 4 and k == 1
+            if allow and d[k] == d[n - k - 1]:
+                equalities.append(f"d({n},{k}) = d({n},{n-k-1}) = {d[k]}")
+            op = "<=" if allow else "<"
+            checks.append(_check(f"d({n},{k}) {op} d({n},{n-k-1})", d[k], d[n - k - 1], allow))
+        else:
+            checks.append(_check(f"d({n},{k}) < d({n},{n-1-k})", d[k], d[n - 1 - k], False))
+            checks.append(_check(f"d({n},{n-1-k}) < d({n},{k+1})", d[n - 1 - k], d[k + 1], False))
+    return SpiralReport(n, "derangement", tuple(checks), tuple(equalities))
+
+
+def _indexed_complement_spiral_report(n):
+    e = complement_poly(n)
+    checks, equalities = [], []
+    if n % 2 == 0:
+        for k in range(0, n // 2 - 1):
+            checks.append(_check(f"e({n},{k}) < e({n},{n-2-k})", e[k], e[n - 2 - k], False))
+            allow = n == 4 and k == 0
+            if allow and e[n - 2 - k] == e[k + 1]:
+                equalities.append(f"e({n},{n-2-k}) = e({n},{k+1}) = {e[k+1]}")
+            op = "<=" if allow else "<"
+            checks.append(_check(f"e({n},{n-2-k}) {op} e({n},{k+1})", e[n - 2 - k], e[k + 1], allow))
+    else:
+        checks.append(_check(f"e({n},0) <= e({n},{n-1})", e[0], e[n - 1], True))
+        checks.append(_check(f"e({n},{n-1}) <= e({n},0)", e[n - 1], e[0], True))
+        checks.append(_check(f"e({n},{n-1}) < e({n},{n-2})", e[n - 1], e[n - 2], False))
+        for k in range(1, (n - 1) // 2):
+            checks.append(_check(f"e({n},{n-1-k}) < e({n},{k})", e[n - 1 - k], e[k], False))
+            checks.append(_check(f"e({n},{k}) < e({n},{n-2-k})", e[k], e[n - 2 - k], False))
+    return SpiralReport(n, "complement", tuple(checks), tuple(equalities))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_spiral_reports_match_the_indexed_inequalities(n):
+    assert spiral_report(n) == _indexed_spiral_report(n)
+    assert complement_spiral_report(n) == _indexed_complement_spiral_report(n)
+
+
+def test_spiral_reports_reject_n_below_2():
+    for report in (spiral_report, complement_spiral_report):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            report(1)
+
+
+def test_member_gate_errors():
+    for member in (separable_poly, gamma_poly, derangement_poly, eulerian_poly,
+                   complement_poly):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            member(0)
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            member(0, "bogus")
+        with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+            member(3, "bogus")
+        with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+            member(BRUTE_FORCE_CAP + 1, "bogus")
+        with pytest.raises(ResourceCapError, match="^enumeration capped at n = 8, got 9$"):
+            member(BRUTE_FORCE_CAP + 1, "enum")
 
 
 def test_power_tail_recurrence():

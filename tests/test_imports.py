@@ -100,6 +100,12 @@ def test_poly_from_the_cache_loads_no_verification_module(tmp_path):
     assert loaded.isdisjoint({"bijection", "gessel", "verify", "realroots"})
 
 
+def test_poly_loads_no_enumeration_module():
+    # the enumeration oracles import nested and permutations when they run
+    assert loaded_by_command("poly", "D", "200") == {"cli", "errors", "families",
+                                                     "polynomials"}
+
+
 def test_public_names_are_the_old_ones():
     assert sorted(descpoly.__all__) == OLD_NAMES
     assert len(OLD_NAMES) == 72

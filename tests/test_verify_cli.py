@@ -1,7 +1,11 @@
 """The verification suites, report formats, cache, and CLI surface."""
 
+import csv
+import inspect
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,10 +15,13 @@ from descpoly.cli import main
 from descpoly.families import derangement_count, derangement_poly, separable_poly
 from descpoly.polynomials import IntPolynomial
 from descpoly.verify import (
+    CASE_FIRST_SEEN,
     DISCREPANCY,
     FAIL,
     PASS,
+    SUITES,
     PolyCache,
+    conjectures_suite,
     tables_suite,
     verify_suite,
 )
@@ -400,3 +407,51 @@ def test_cli_verify_rejects_a_vacuous_max_n(argv, capsys):
 def test_verify_suite_rejects_a_vacuous_max_n(name, max_n):
     with pytest.raises(ValueError):
         verify_suite(name, max_n)
+
+
+@pytest.mark.parametrize("max_n", range(1, 8))
+def test_bijection_suite_passes_below_n_8(max_n):
+    # The case-coverage check expects only the search cases seen by max_n.
+    report = verify_suite("bijection", max_n)
+    assert report.passed
+    (coverage,) = [r for r in report.records if r.id == "bijection.case-coverage"]
+    assert coverage.expected == coverage.actual
+    assert coverage.expected == repr(sorted(
+        case for case, first in CASE_FIRST_SEEN.items() if first <= max_n))
+
+
+def test_verify_bijection_json_is_the_same_under_two_hash_seeds():
+    outputs = []
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "descpoly", "--format", "json", "verify", "bijection",
+             "--max-n", "5"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr[-500:]
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_every_suite_with_a_depth_takes_max_n_alone():
+    for name, suite in SUITES.items():
+        params = list(inspect.signature(suite).parameters)
+        assert params == ([] if name == "tables" else ["max_n"]), name
+    assert verify_suite("conjectures", 6).to_json_obj() == conjectures_suite(6).to_json_obj()
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["poly", "S", "4"], {"coeffs": [1, 10, 10, 1], "family": "S", "n": 4}),
+    (["gamma", "S", "5"], {"darga": 4, "family": "S", "gammas": [1, 16, 10], "n": 5,
+                           "start": 0}),
+    (["tree", "2143"], {"tree": "(+ (- _ _) (- _ _))",
+                        "json": {"label": "+", "left": {"label": "-", "left": None, "right": None},
+                                 "right": {"label": "-", "left": None, "right": None}}}),
+])
+def test_cli_csv_is_one_header_and_one_row(argv, payload, capsys):
+    assert main(["--format", "csv", *argv]) == 0
+    header, row, *rest = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert rest == [] and header == sorted(payload)
+    # list and dict cells are JSON text, the rest plain text
+    assert row == [json.dumps(v) if isinstance(v, (list, dict)) else str(v)
+                   for v in map(payload.get, header)]
