@@ -161,8 +161,13 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     below a ``-`` node) scan *up* for the nearest ``-``-starting chain; its
     terminal is the pivot N_* (defaulting to the hang node itself), and the
     adjoint is the chain whose terminal is the pivot's left child.
+
+    Raises FamilyError for an index outside 1..r, or for a chain C that is
+    not odd and ``-``-starting.
     """
     view = tree.right_chains()
+    if not 1 <= chain_index <= view.r:
+        raise FamilyError(f"chain index {chain_index} out of range 1..{view.r}")
     c = view.chains[chain_index - 1]
     if not (c.is_odd and c.starts_with == MINUS):
         raise FamilyError(f"chain {chain_index} is not an odd '-'-starting chain")
@@ -206,12 +211,18 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     return AdjointResult(adjoint_idx, case, pivot)
 
 
-def _walk_up_minus_run(view: RightChainView, run: tuple[int, ...], start_pos: int) -> int:
-    """Last chain of the maximal '-'-starting run upward from start_pos."""
-    pos = start_pos
+def _lock_run_repair(tree: DiskTree, view: RightChainView, violation: Violation,
+                     run: tuple[int, ...], pos: int, case: int,
+                     attach_node: int) -> RepairResult:
+    """Cases 1-4: L is the last chain of the maximal ``-``-starting run
+    upward from ``run[pos]``, and is even and ends ``+``."""
     while pos + 1 < len(run) and view.chains[run[pos + 1] - 1].starts_with == MINUS:
         pos += 1
-    return run[pos]
+    l_chain = view.chains[run[pos] - 1]
+    _ensure(not l_chain.is_odd and tree.labels()[l_chain.tail - 1] == PLUS,
+            "L is even and ends '+'", tree, violation)
+    attach_kind = "lock-left" if case % 2 else "attach-right"
+    return RepairResult(l_chain.index, case, l_chain.tail, attach_kind, attach_node)
 
 
 def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
@@ -221,30 +232,34 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     lock run through ``-``-starting chains; cases 5/6 (pair under a ``-``
     hang node) read L straight off the pair.  Cases 1/3/5 relocate L's last
     node to the front of its group; cases 2/4/6 append it to a chain below.
+
+    Raises FamilyError for a violation that is not one of the tree's: not
+    ``(1,)`` on a ``-`` first node, nor a pair ``(x, x + 1)`` of ``-`` nodes.
     """
-    view = tree.right_chains()
     labels = tree.labels()
+    kind, nodes = violation.kind, violation.nodes
+    if kind == "first-node-minus":
+        ours = nodes == (1,) and labels[:1] == (MINUS,)
+    else:
+        ours = (kind == "consecutive-minus-pair" and len(nodes) == 2
+                and 1 <= nodes[0] < len(labels) and nodes[1] == nodes[0] + 1
+                and labels[nodes[0] - 1] == labels[nodes[0]] == MINUS)
+    if not ours:
+        raise FamilyError(f"not a family-two violation: {violation}")
+    view = tree.right_chains()
     ix = tree._index()
     left, right, parent = ix.left, ix.right, ix.parent
 
-    if violation.kind == "first-node-minus":
+    if kind == "first-node-minus":
         first = view.chains[0]
         _ensure(first.terminal == 1 and first.starts_with == MINUS,
                 "the first chain starts at node 1 with '-'", tree)
         group = _group_of(view, first)
         _ensure(group.hang_node is None and group.chains[0] == first.index,
                 "the first chain opens the root group", tree)
-        l_idx = _walk_up_minus_run(view, group.chains, 0)
-        l_chain = view.chains[l_idx - 1]
-        _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
-                "L is even and ends '+'", tree, violation)
-        return RepairResult(l_idx, 1, l_chain.tail, "lock-left", first.terminal)
+        return _lock_run_repair(tree, view, violation, group.chains, 0, 1, first.terminal)
 
-    if violation.kind != "consecutive-minus-pair":
-        raise FamilyError(f"not a family-two violation: {violation}")
-    x, y = violation.nodes
-    _ensure(labels[x - 1] == MINUS and labels[y - 1] == MINUS,
-            "both nodes of the pair are '-'", tree, violation)
+    x, y = nodes
 
     if right[x]:
         # The pair straddles a hang: y is the first node of the group
@@ -258,12 +273,7 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
         _ensure(group.hang_node == n_node and group.chains[0] == first_idx,
                 "y's chain opens the group hanging at the right child of x",
                 tree, violation)
-        pos = group.chains.index(first_idx)
-        l_idx = _walk_up_minus_run(view, group.chains, pos)
-        l_chain = view.chains[l_idx - 1]
-        _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
-                "L is even and ends '+'", tree, violation)
-        return RepairResult(l_idx, 3, l_chain.tail, "lock-left", y)
+        return _lock_run_repair(tree, view, violation, group.chains, 0, 3, y)
 
     k_idx = tree.chain_index_of(x)
     k_chain = view.chains[k_idx - 1]
@@ -280,13 +290,8 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
                 "a lock pair lies in one group", tree, violation)
         hang = _hang_label(tree, group)
         if hang is None or hang == PLUS:
-            case = 2 if hang is None else 4
-            pos = group.chains.index(z_idx)
-            l_idx = _walk_up_minus_run(view, group.chains, pos)
-            l_chain = view.chains[l_idx - 1]
-            _ensure(not l_chain.is_odd and labels[l_chain.tail - 1] == PLUS,
-                    "L is even and ends '+'", tree, violation)
-            return RepairResult(l_idx, case, l_chain.tail, "attach-right", x)
+            return _lock_run_repair(tree, view, violation, group.chains,
+                                    group.chains.index(z_idx), 2 if hang is None else 4, x)
         # Hang node '-': fall through, the pivot is y and L is x's chain.
     else:
         # The pair straddles levels: y is the hang node of x's group.

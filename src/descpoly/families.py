@@ -56,6 +56,9 @@ ONE_PLUS_T = IntPolynomial((1, 1))
 
 
 def _check_cap(n: int) -> None:
+    """The check every enumeration passes through: 1 <= n <= the cap."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"enumeration capped at n = {BRUTE_FORCE_CAP}, got {n}")
 

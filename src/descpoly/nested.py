@@ -221,21 +221,6 @@ def parse(tokens: Sequence[str], atom: str, labels: tuple[str, ...],
     return stack[0]
 
 
-def same(a: Node, b: Node) -> bool:
-    """``a == b`` for two trees of triples, with an explicit stack, so at
-    any depth; subtrees that are one object are not walked."""
-    stack = [(a, b)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        x, y = pop()
-        while x is not y:
-            if x is None or y is None or x[0] != y[0]:
-                return False
-            push((x[2], y[2]))
-            x, y = x[1], y[1]
-    return True
-
-
 class CheckedTree:
     """A tree of ``(label, left, right)`` triples over ``+`` and ``-`` with
     alternating right chains: a Schröder word's expression and a di-sk
@@ -248,12 +233,13 @@ class CheckedTree:
 
     The in-order numbering is kept by a value that was checked, and from
     the first walk that hands back data keyed by in-order ids (the labels,
-    a tree's chains), which are kept too, or that shares the numbering
-    with a view (``word_to_tree``, ``to_word``); those go through
-    ``_kept_index``.  Walks that hand back a
-    whole new object, the text form or the permutation, number an
-    unchecked value afresh each time, so the thousands of words an
-    enumeration yields stay small when they are only evaluated.
+    a tree's chains, the flat key that ``==`` and ``hash`` compare), which
+    are kept too, or that shares the numbering with a view
+    (``word_to_tree``, ``to_word``); those go through ``_kept_index``.
+    Walks that hand back a whole new object, the text form or the
+    permutation, number an unchecked value afresh each time, so the
+    thousands of words an enumeration yields stay small when they are only
+    evaluated.
     """
 
     __slots__ = ("_root", "_ix", "_labels")
@@ -317,13 +303,16 @@ class CheckedTree:
     def __repr__(self) -> str:
         return f"{type(self).__name__}.parse({self._text()!r})"
 
+    def _key(self) -> tuple:
+        # The in-order labels and the post-order of the in-order ids fix the
+        # tree.  Both are flat, where the C-level == and hash of the nested
+        # root recurse once per level and overflow the C stack on deep trees.
+        return self.labels(), tuple(self._kept_index().post)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return same(self._root, other._root)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        # The in-order labels and the post-order of the in-order ids fix the
-        # tree.  Both are flat, where the C-level hash of the nested root
-        # recurses once per level and overflows the C stack on deep trees.
-        return hash((self.labels(), tuple(self._kept_index().post)))
+        return hash(self._key())

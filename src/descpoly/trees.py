@@ -210,65 +210,47 @@ class DiskTree(CheckedTree):
         except AttributeError:
             pass
         ix = self._kept_index()
-        left, right, parent = ix.left, ix.right, ix.parent
+        left, parent = ix.left, ix.parent
         raw_chains, chain_of = self._walk()
 
-        # Levels and groups: lock keeps both, hang descends and opens a group.
+        # Per chain: its level, its group key (the hang node, 0 for the root
+        # group) and its attachment.  Lock keeps the level and key of the
+        # parent chain; hang descends one level and keys a new group.
         # Parents come first in reversed post-order, so the chain a terminal
         # attaches to, whose terminal is an ancestor, is settled before it.
-        level = [0] * (len(raw_chains) + 1)
-        group_key = [0] * (len(raw_chains) + 1)
+        r = len(raw_chains)
+        level, key, attachment = [0] * (r + 1), [0] * (r + 1), ["root-group"] * (r + 1)
         for t in reversed(ix.post):
             p = parent[t]
             if p == 0 or left[p] != t:
                 continue
             ci, pc = chain_of[t], chain_of[p]
-            if p == raw_chains[pc - 1][0]:              # lock to the parent chain
-                level[ci], group_key[ci] = level[pc], group_key[pc]
-            else:                                        # hang below a non-terminal
-                level[ci], group_key[ci] = level[pc] + 1, p
-
-        group_ids: dict[int, int] = {}
-        for ci in range(1, len(raw_chains) + 1):
-            group_ids.setdefault(group_key[ci], len(group_ids) + 1)
-
-        chains = []
-        for ci, nodes in enumerate(raw_chains, 1):
-            t = nodes[0]
-            p = parent[t]
-            if p == 0:
-                attachment = "root-group"
-            elif p == raw_chains[chain_of[p] - 1][0]:
-                attachment = "lock"
+            if p == raw_chains[pc - 1][0]:
+                level[ci], key[ci], attachment[ci] = level[pc], key[pc], "lock"
             else:
-                attachment = "hang"
-            chains.append(
-                ChainRecord(
-                    index=ci,
-                    nodes=nodes,
-                    starts_with=ix.nodes[t][0],
-                    level=level[ci],
-                    attachment=attachment,
-                    group=group_ids[group_key[ci]],
-                )
-            )
+                level[ci], key[ci], attachment[ci] = level[pc] + 1, p, "hang"
 
-        members: dict[int, list[int]] = {}
-        key_of_group: dict[int, int] = {}
-        for ci in range(1, len(raw_chains) + 1):
-            g = group_ids[group_key[ci]]
-            members.setdefault(g, []).append(ci)
-            key_of_group[g] = group_key[ci]
-        groups = tuple(
-            GroupRecord(
-                index=g,
-                chains=tuple(members[g]),
-                level=level[members[g][0]],
-                hang_node=key_of_group[g] or None,
+        # The runs of each group key, bottom-up, numbered in first-chain order.
+        runs: dict[int, list[int]] = {}
+        for ci in range(1, r + 1):
+            runs.setdefault(key[ci], []).append(ci)
+        group_id = {k: g for g, k in enumerate(runs, 1)}
+        chains = tuple(
+            ChainRecord(
+                index=ci,
+                nodes=nodes,
+                starts_with=ix.nodes[nodes[0]][0],
+                level=level[ci],
+                attachment=attachment[ci],
+                group=group_id[key[ci]],
             )
-            for g in sorted(members)
+            for ci, nodes in enumerate(raw_chains, 1)
         )
-        self._view_memo = RightChainView(tuple(chains), groups)
+        groups = tuple(
+            GroupRecord(index=g, chains=tuple(run), level=level[run[0]], hang_node=k or None)
+            for g, (k, run) in enumerate(runs.items(), 1)
+        )
+        self._view_memo = RightChainView(chains, groups)
         return self._view_memo
 
     def chain_index_of(self, node_id: int) -> int:

@@ -69,6 +69,33 @@ def test_find_adjoint_rejects_wrong_chain():
         find_adjoint(t, t.chain_index_of(1))
 
 
+def test_find_adjoint_rejects_an_index_outside_the_chains():
+    t = DiskTree.parse("(- (+ _ _) _)")
+    r = t.right_chains().r
+    for i in (0, -1, r + 1):
+        with pytest.raises(FamilyError, match=rf"^chain index {i} out of range 1\.\.{r}$"):
+            find_adjoint(t, i)
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("(- _ (+ _ _))", Violation("first-node-minus", (5,))),
+    ("(+ _ (- _ _))", Violation("first-node-minus", (1,))),
+    ("(- (- _ _) _)", Violation("consecutive-minus-pair", (0, 1))),
+    ("(- (- _ _) _)", Violation("consecutive-minus-pair", (2, 3))),
+    ("(- (- _ _) (+ _ _))", Violation("consecutive-minus-pair", (1, 3))),
+    ("(- (+ _ _) _)", Violation("consecutive-minus-pair", (1, 2))),
+    ("(- (- _ _) _)", Violation("consecutive-minus-pair", (1, 2, 3))),
+    ("(- (- _ _) _)", Violation("odd-chain-starts-minus", (1,))),
+])
+def test_find_repair_chain_rejects_violations_not_of_the_tree(text, violation):
+    # a wrong node, a '+' node, a pair off the tree or not adjacent, a
+    # family-one kind: the caller's input, not a failed invariant
+    t = DiskTree.parse(text)
+    assert violation not in family_two_violations(t)
+    with pytest.raises(FamilyError, match="^not a family-two violation: "):
+        find_repair_chain(t, violation)
+
+
 def test_minimal_repair_case_1():
     # single '-' root at n = 2 is the smallest family-two violation
     t = DiskTree.parse("(- _ (+ _ _))")

@@ -33,6 +33,7 @@ from descpoly.families import (
     spiral_report,
     verify_series_identity,
 )
+from descpoly.gessel import gessel_gamma, two_var_poly
 from descpoly.polynomials import IntPolynomial, gamma_decompose, is_palindromic, is_unimodal
 
 SCHRODER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098]
@@ -314,6 +315,16 @@ def test_member_gate_errors():
             member(BRUTE_FORCE_CAP + 1, "bogus")
         with pytest.raises(ResourceCapError, match="^enumeration capped at n = 8, got 9$"):
             member(BRUTE_FORCE_CAP + 1, "enum")
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumeration_oracles_reject_n_below_one(n):
+    # The oracles that take no method meet the one check every enumeration
+    # passes through, and refuse an empty order as the members do.
+    for oracle in (narayana_poly, separable_gamma_histogram, desarrangement_histogram,
+                   separable_split_enum, two_var_poly, gessel_gamma):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            oracle(n)
 
 
 def test_power_tail_recurrence():

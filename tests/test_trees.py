@@ -17,7 +17,7 @@ from descpoly.trees import (
     tree_to_word,
     word_to_tree,
 )
-from descpoly.words import SchroderWord, sweep
+from descpoly.words import SchroderWord, enumerate_words, sweep
 
 SCHRODER = [1, 2, 6, 22, 90, 394, 1806]
 
@@ -156,6 +156,106 @@ def test_same_level_terminals_share_a_left_chain():
                 for lower, upper in zip(run, run[1:]):
                     assert parent[lower.terminal] == upper.terminal
                     assert lower.level == upper.level == g.level
+
+
+def _chain_view_by_definition(root):
+    """Chains and groups read off the definitions of the ``trees`` module,
+    by a recursive walk (the trees here are shallow).
+
+    A terminal is the root or a left child.  A chain locks when its
+    terminal is the left child of another chain's terminal, and keeps that
+    chain's level; it hangs when its terminal is the left child of a
+    non-terminal, one level below that node's chain.  A group is a chain
+    that does not lock together with the chains locked below it, whose
+    terminals are the left spine under its own; it hangs from the parent
+    of that top terminal.
+    """
+    label, left, right, parent = {}, {}, {}, {}
+
+    def visit(node):
+        if node is None:
+            return 0
+        l = visit(node[1])
+        i = len(label) + 1
+        label[i] = node[0]
+        r = visit(node[2])
+        left[i], right[i] = l, r
+        for child in (l, r):
+            if child:
+                parent[child] = i
+        return i
+
+    visit(root)
+    terminals = [v for v in label if v not in parent or left[parent[v]] == v]
+    chains, chain_of = [], {}
+    for t in terminals:
+        nodes = [t]
+        while right[nodes[-1]]:
+            nodes.append(right[nodes[-1]])
+        chains.append(tuple(nodes))
+        for v in nodes:
+            chain_of[v] = len(chains)
+
+    def attachment(t):
+        if t not in parent:
+            return "root-group"
+        return "lock" if parent[t] in terminals else "hang"
+
+    def level(t):
+        a = attachment(t)
+        if a == "root-group":
+            return 0
+        above = chains[chain_of[parent[t]] - 1][0]
+        return level(above) + (a == "hang")
+
+    def top(t):
+        return top(parent[t]) if attachment(t) == "lock" else t
+
+    runs = {}
+    for nodes in chains:
+        t = top(nodes[0])
+        if t not in runs:
+            spine = [t]
+            while left[spine[-1]]:
+                spine.append(left[spine[-1]])
+            runs[t] = tuple(chain_of[v] for v in reversed(spine))
+    ordered = sorted(runs.values())
+    group_of = {ci: g for g, run in enumerate(ordered, 1) for ci in run}
+    chain_rows = [(ci, nodes, label[nodes[0]], level(nodes[0]), attachment(nodes[0]),
+                   group_of[ci]) for ci, nodes in enumerate(chains, 1)]
+    group_rows = [(g, run, level(chains[run[-1] - 1][0]),
+                   parent.get(chains[run[-1] - 1][0]))
+                  for g, run in enumerate(ordered, 1)]
+    return chain_rows, group_rows
+
+
+def test_chain_view_matches_its_definitions():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            view = t.right_chains()
+            chains = [(c.index, c.nodes, c.starts_with, c.level, c.attachment, c.group)
+                      for c in view.chains]
+            groups = [(g.index, g.chains, g.level, g.hang_node) for g in view.groups]
+            assert (chains, groups) == _chain_view_by_definition(t.root), t
+
+
+@pytest.mark.parametrize("kind", ["word", "tree"])
+def test_equality_is_equality_of_text_forms(kind):
+    # every value of n <= 6 against a fresh parse of every value
+    if kind == "word":
+        values = [w for n in range(1, 7) for w in enumerate_words(n)]
+        texts = [str(w) for w in values]
+        parsed = [SchroderWord.parse(text) for text in texts]
+    else:
+        values = [t for n in range(1, 7) for t in enumerate_trees(n)]
+        texts = [t.to_text() for t in values]
+        parsed = [DiskTree.parse(text) for text in texts]
+    for a, text_a in zip(values, texts):
+        for b, text_b in zip(parsed, texts):
+            assert (a == b) is (text_a == text_b)
+            assert (a != b) is (text_a != text_b)
+            if text_a == text_b:
+                assert hash(a) == hash(b)
 
 
 def test_flip_chain_involution_and_commutation():

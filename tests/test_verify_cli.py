@@ -237,6 +237,16 @@ def test_cli_gamma(capsys):
     assert capsys.readouterr().out.strip() == "gamma_0=1 gamma_1=3"
 
 
+@pytest.mark.parametrize("family", ["S", "A", "N"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_gamma_rejects_n_below_one(capsys, family, n):
+    # N goes through an enumeration oracle, S and A through the recurrences;
+    # all three refuse an empty order with the same line.
+    assert main(["gamma", family, n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need n >= 1\n"
+
+
 def test_cli_rc_index(capsys):
     assert main(["rc-index", "4"]) == 0
     assert capsys.readouterr().out.strip() == "c_1^3 + c_1c_2 + 2c_2c_1 + c_3"
@@ -315,19 +325,21 @@ def test_cli_entry_point_subprocess():
 
 
 def test_conjectures_suite_same_under_python_O():
-    # -O strips assert statements; the Sturm counts and the Gessel solve
-    # that this suite runs must not depend on any.
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "descpoly", "--format", "json",
-             "verify", "conjectures"],
-            capture_output=True, text=True,
-        )
-        for flags in ([], ["-O"])
-    ]
-    plain, optimized = [(r.returncode, r.stdout) for r in runs]
-    assert plain[0] == 0 and json.loads(plain[1])
-    assert optimized == plain
+    # -O strips assert statements; the Sturm counts and the Gessel solve of
+    # the conjectures suite, and the searches and maps of the bijection
+    # suite with every invariant check they make, must not depend on any.
+    for suite in (["conjectures"], ["bijection", "--max-n", "7"]):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "descpoly", "--format", "json",
+                 "verify", *suite],
+                capture_output=True, text=True,
+            )
+            for flags in ([], ["-O"])
+        ]
+        plain, optimized = [(r.returncode, r.stdout) for r in runs]
+        assert plain[0] == 0 and json.loads(plain[1])
+        assert optimized == plain, suite
 
 
 def _left_comb_text(m):
