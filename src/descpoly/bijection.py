@@ -27,8 +27,7 @@ Every post-condition and case-analysis claim is checked with an explicit
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 from .nested import rebuild
@@ -50,14 +49,12 @@ def _ensure(ok: bool, claim: str, *context) -> None:
         raise InvariantError(claim + "".join(f"; {c!r}" for c in context))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str                 # "odd-chain-starts-minus" | "first-node-minus"
     nodes: tuple[int, ...]    #   | "consecutive-minus-pair"
 
 
-@dataclass(frozen=True)
-class GammaFamilyMembership:
+class GammaFamilyMembership(NamedTuple):
     n: int
     k: int
     n_minus: int
@@ -126,15 +123,13 @@ def classify(tree: DiskTree, k: Optional[int] = None) -> GammaFamilyMembership:
 # searches
 
 
-@dataclass(frozen=True)
-class AdjointResult:
+class AdjointResult(NamedTuple):
     chain: int                # chain index of the adjoint C*
     case: str                 # "I".."VI"
     pivot: Optional[int]      # N_* node id (cases V/VI), else None
 
 
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     chain: int                # chain index of L
     case: int                 # 1..6
     cut_node: int             # tail of L
@@ -319,8 +314,7 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
 # surgery
 
 
-@dataclass(frozen=True)
-class SurgeryOp:
+class SurgeryOp(NamedTuple):
     cut_node: int
     attach_kind: str          # "attach-right" | "lock-left"
     attach_node: int

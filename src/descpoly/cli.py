@@ -23,7 +23,12 @@ error: <type>: <message>`` on stderr and no traceback.
 
 Each subcommand imports the modules it uses when it runs, so ``--help``
 loads no computational module and ``sweep`` loads only ``nested``,
-``permutations`` and ``words``.
+``permutations``, ``words`` and ``value``.  ``verify`` loads ``verify``,
+``families`` and ``polynomials``, and each suite adds its own: ``tables``
+and ``identities`` ``rcindex``, ``trees``, ``words``, ``nested`` and
+``permutations``; ``bijection`` ``bijection``, ``trees``, ``words``,
+``nested`` and ``permutations``; ``conjectures`` ``gessel``, ``realroots``
+and ``permutations``.
 """
 
 from __future__ import annotations

@@ -34,11 +34,11 @@ JSON file per (family, n).
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ResourceCapError
 from .polynomials import (
@@ -349,8 +349,7 @@ def desarrangement_histogram(n: int) -> IntPolynomial:
 # spiral interleaving
 
 
-@dataclass(frozen=True)
-class SpiralCheck:
+class SpiralCheck(NamedTuple):
     description: str
     lower: int
     upper: int
@@ -358,8 +357,7 @@ class SpiralCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class SpiralReport:
+class SpiralReport(NamedTuple):
     n: int
     family: str
     checks: tuple[SpiralCheck, ...]
@@ -477,8 +475,11 @@ class PolyCache:
 
     A stored entry is served only when its ``format_version``, ``family``
     and ``n`` fields match, its coefficients are integers, its degree is
-    below n, and, for S, it is palindromic of darga n - 1.  Otherwise it
-    counts as a miss: the polynomial is recomputed and the file rewritten.
+    below n, for S it is palindromic of darga n - 1, and for D, A and
+    Dtilde its value at 1 is d_n, n! and n! - d_n, the number of
+    permutations it ranges over.  Otherwise it counts as a miss: the
+    polynomial is recomputed and the file rewritten.  An n below 1 is
+    refused before any file is read.
     Writes go through a temporary file in the same directory and
     ``os.replace``, so a reader never sees half a file.
     """
@@ -491,6 +492,11 @@ class PolyCache:
         "Dtilde": complement_poly,
         "Gamma": gamma_poly,
     }
+    VALUE_AT_ONE = {
+        "D": derangement_count,
+        "A": math.factorial,
+        "Dtilde": lambda n: math.factorial(n) - derangement_count(n),
+    }
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -501,6 +507,8 @@ class PolyCache:
     def get(self, family: str, n: int) -> IntPolynomial:
         if family not in self.FAMILIES:
             raise KeyError(f"unknown family {family!r}")
+        if n < 1:
+            raise ValueError("need n >= 1")
         p = self.path(family, n)
         poly = self._read(p, family, n)
         if poly is not None:
@@ -542,5 +550,8 @@ class PolyCache:
             return None
         poly = IntPolynomial(coeffs)
         if family == "S" and not is_palindromic(poly, n - 1):
+            return None
+        count = self.VALUE_AT_ONE.get(family)
+        if count is not None and poly(1) != count(n):
             return None
         return poly

@@ -18,26 +18,25 @@ j = n - 1 - 2i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvariantError
 from .families import _check_cap, separable_gamma
 from .permutations import all_permutations
+from .value import Value
 
 Grid = dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Value):
     """Exact grid of coefficients: coeff[(a, b)] multiplies s^a t^b."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, grid: Grid):
-        cleaned = tuple(sorted((k, v) for k, v in grid.items() if v))
-        object.__setattr__(self, "coeffs", cleaned)
+        super().__init__(tuple(sorted((k, v) for k, v in grid.items() if v)))
 
     def as_dict(self) -> Grid:
         return dict(self.coeffs)
@@ -109,8 +108,7 @@ def two_var_poly(n: int) -> BivariatePolynomial:
     return BivariatePolynomial(grid)
 
 
-@dataclass(frozen=True)
-class Indeterminate:
+class Indeterminate(NamedTuple):
     """The linear system has no unique solution; carries rank data."""
 
     n: int
@@ -123,8 +121,8 @@ class Indeterminate:
         return self.unknowns - self.rank if self.consistent else None
 
 
-@dataclass(frozen=True)
-class GesselGamma:
+class GesselGamma(Value):
+    __slots__ = ("n", "gammas", "rank")
     n: int
     gammas: tuple[tuple[tuple[int, int], int], ...]   # ((i, j), gamma)
     rank: int

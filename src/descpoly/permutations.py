@@ -14,14 +14,15 @@ the convention pi(n+1) = +infinity, so position n is always an ascent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .value import Value
 
-@dataclass(frozen=True)
-class Permutation:
+
+class Permutation(Value):
     """Immutable permutation of {1, ..., n} in one-line notation."""
 
+    __slots__ = ("word",)
     word: tuple[int, ...]
 
     def __init__(self, word: Iterable[int]):

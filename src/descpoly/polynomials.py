@@ -18,8 +18,9 @@ unimodal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .value import Value
 
 
 class NotPalindromicError(ValueError):
@@ -33,10 +34,10 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of t^k."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -216,10 +217,10 @@ def is_palindromic(p: IntPolynomial, darga: int) -> bool:
     return all(p[r + i] == p[s - i] for i in range(s - r + 1))
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Value):
     """Gamma coefficients gamma_start .. gamma_{floor(darga/2)} of a polynomial."""
 
+    __slots__ = ("darga", "start", "gammas")
     darga: int
     start: int
     gammas: tuple[int, ...]

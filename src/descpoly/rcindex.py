@@ -22,13 +22,13 @@ with exactly n - 1 - 2k odd chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import ResourceCapError
 from .polynomials import IntPolynomial
 from .trees import TreeShape, enumerate_shapes
+from .value import Value
 
 NCMonomial = tuple[int, ...]
 
@@ -60,21 +60,16 @@ def format_monomial(factors: NCMonomial) -> str:
     )
 
 
-@dataclass(frozen=True)
-class RCIndex:
+class RCIndex(Value):
     """Multiset of chain-length monomials over the C_{n-1} shape classes."""
 
+    __slots__ = ("n", "terms")
     n: int
     terms: tuple[tuple[NCMonomial, int], ...]
 
     def __init__(self, n: int, terms: Mapping[NCMonomial, int]):
-        object.__setattr__(self, "n", n)
         # Display order: more factors first, lexicographic within a count.
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))),
-        )
+        super().__init__(n, tuple(sorted(terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))))
 
     def as_dict(self) -> dict[NCMonomial, int]:
         return dict(self.terms)

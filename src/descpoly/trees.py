@@ -31,12 +31,12 @@ for an empty subtree, e.g. ``(- (+ _ _) _)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, rebuild, render
 from .permutations import Permutation
+from .value import Value
 from .words import SchroderWord, index_values, sweep
 
 # Unlabeled structures are frozen pairs (left, right); None is empty.
@@ -90,9 +90,9 @@ def _chain_walk(ix: Index) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(chains), chain_of
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    """One right chain: 1-based ids, ordered terminal first."""
+class ChainRecord(NamedTuple):
+    """One right chain: 1-based ids, ordered terminal first.  The field
+    ``index`` hides the tuple method of that name, here and on groups."""
 
     index: int                 # position in chain order, 1-based
     nodes: tuple[int, ...]     # in-order node ids along the chain
@@ -118,8 +118,7 @@ class ChainRecord:
         return len(self.nodes) % 2 == 1
 
 
-@dataclass(frozen=True)
-class GroupRecord:
+class GroupRecord(NamedTuple):
     """A maximal lock-connected run of chains (terminals on one left chain)."""
 
     index: int
@@ -128,8 +127,7 @@ class GroupRecord:
     hang_node: Optional[int]   # node the group hangs from; None for the root group
 
 
-@dataclass(frozen=True)
-class RightChainView:
+class RightChainView(NamedTuple):
     chains: tuple[ChainRecord, ...]
     groups: tuple[GroupRecord, ...]
 
@@ -353,15 +351,20 @@ def _json_node(obj: dict) -> tuple:
     return (label, left, right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TreeShape:
+class TreeShape(Value):
     """Unlabeled binary-tree structure; canonical key is the preorder bits.
 
-    ``==``, ``hash`` and ``repr`` go through the flat ``key``: the methods a
-    dataclass generates recurse once per level of the nested structure.
+    ``==``, ``hash`` and ``repr`` go through the flat ``key``: on the nested
+    structure itself they would recurse once per level.
     """
 
+    __slots__ = ("structure",)
     structure: ShapeNode
+
+    def __init__(self, structure: ShapeNode):
+        # Its own, as the base's costs about twice as much: one is built
+        # for every shape enumerated.
+        object.__setattr__(self, "structure", structure)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

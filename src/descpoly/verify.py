@@ -11,23 +11,21 @@ of three states:
 
 Reports serialize deterministically: records are sorted by id and wall
 time is excluded from the JSON form.
+
+Each suite imports the modules it uses when it runs, so that a process
+loads only its suite's modules: ``conjectures`` none of the tree and word
+modules, ``tables`` and ``identities`` none of ``bijection``, ``gessel``
+and ``realroots``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import families, rcindex
-from .bijection import bijection_certificate, classify, order_independence_certificate
+from . import families
 from .families import PolyCache  # noqa: F401  (re-exported under its old name)
-from .gessel import GesselGamma, gessel_gamma, two_var_poly
-from .permutations import all_permutations, separable_permutations
-from .polynomials import is_palindromic, is_unimodal
-from .realroots import is_real_rooted
-from .trees import enumerate_shapes, enumerate_trees, word_to_tree
-from .words import enumerate_words, sweep, word_to_perm
+from .value import Value
 
 PASS = "pass"
 FAIL = "fail"
@@ -80,8 +78,7 @@ PHI_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     subject: str
     status: str
@@ -89,20 +86,27 @@ class CheckRecord:
     actual: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "subject": self.subject,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
+        return self._asdict()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
+    """The one mutable value: a suite appends records, and the runner sets
+    the wall time."""
+
+    __slots__ = ("suite", "records", "wall_time")
     suite: str
-    records: list[CheckRecord] = field(default_factory=list)
-    wall_time: float = 0.0
+    records: list[CheckRecord]
+    wall_time: float
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, records: Optional[list[CheckRecord]] = None,
+                 wall_time: float = 0.0):
+        self.suite = suite
+        self.records = [] if records is None else records
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:
@@ -144,8 +148,7 @@ class VerificationReport:
     def to_csv(self) -> str:
         rows = ["id,subject,status,expected,actual"]
         for r in self.sorted_records():
-            fields = [r.id, r.subject, r.status, r.expected, r.actual]
-            rows.append(",".join('"' + f.replace('"', '""') + '"' for f in fields))
+            rows.append(",".join('"' + f.replace('"', '""') + '"' for f in r))
         return "\n".join(rows)
 
 
@@ -172,6 +175,11 @@ class _Suite:
 
 def tables_suite() -> VerificationReport:
     """Pinned polynomial tables, gamma vectors, rc-index listings, counts."""
+    from . import rcindex
+    from .permutations import separable_permutations
+    from .trees import enumerate_shapes, enumerate_trees
+    from .words import enumerate_words
+
     s = _Suite("tables")
     for n, coeffs in S_TABLE.items():
         s.check(f"tables.S.{n}", f"separable descent polynomial, n={n}",
@@ -214,6 +222,11 @@ def tables_suite() -> VerificationReport:
 
 def bijection_suite(max_n: int = 8) -> VerificationReport:
     """Round trips, statistic transport, family counts, inverse maps."""
+    from .bijection import bijection_certificate, classify, order_independence_certificate
+    from .permutations import separable_permutations
+    from .trees import enumerate_trees, word_to_tree
+    from .words import enumerate_words, sweep, word_to_perm
+
     s = _Suite("bijection")
     for n in range(1, max_n + 1):
         ok_round = True
@@ -273,6 +286,9 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
     Enumeration-backed checks are clamped to the brute-force cap; the
     recurrence-only checks honor max_n directly.
     """
+    from . import rcindex
+    from .permutations import all_permutations
+
     s = _Suite("identities")
     enum_n = min(max_n, families.BRUTE_FORCE_CAP)
     add_n = min(max_n, 8)
@@ -348,6 +364,10 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
 
     Everything here is evidence at the stated ranges, not proof.
     """
+    from .gessel import GesselGamma, gessel_gamma, two_var_poly
+    from .polynomials import is_palindromic, is_unimodal
+    from .realroots import is_real_rooted
+
     s = _Suite("conjectures")
     for n in range(2, max_n + 1):
         rep = families.spiral_report(n)

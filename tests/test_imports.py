@@ -1,13 +1,16 @@
 """The import contract: ``import descpoly`` is lazy, each subcommand loads
-only the modules it uses, and the package keeps its public names.
+only the modules it uses, no subcommand loads ``dataclasses`` (or the
+``inspect`` it pulls in), and the package keeps its public names.
 
 Each check of ``sys.modules`` runs in a fresh interpreter.
 """
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,19 +61,28 @@ OLD_HOMES = {
 OLD_NAMES = sorted(name for names in OLD_HOMES.values() for name in names)
 
 
-def loaded_by(code: str) -> set[str]:
-    """The descpoly submodules in ``sys.modules`` after ``code`` runs in a
-    fresh interpreter, without the package and its ``__main__``."""
+# Modules that cost a command start-up time and that no command needs.
+HEAVY = {"dataclasses", "inspect"}
+
+
+def modules_after(code: str) -> set[str]:
+    """Every module in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
     probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    modules = json.loads(result.stderr.splitlines()[-1])
+    return set(json.loads(result.stderr.splitlines()[-1]))
+
+
+def submodules(modules: set[str]) -> set[str]:
+    """The descpoly submodules among ``modules``, without the package and
+    its ``__main__``."""
     return {m.split(".", 1)[1] for m in modules
             if m.startswith("descpoly.")} - {"__main__"}
 
 
-def loaded_by_command(*argv: str) -> set[str]:
-    """The submodules that ``python -m descpoly ARGV`` loads."""
-    return loaded_by(
+def modules_after_command(*argv: str) -> set[str]:
+    """Every module that ``python -m descpoly ARGV`` leaves loaded."""
+    return modules_after(
         "import runpy, sys\n"
         f"sys.argv = ['descpoly', *{list(argv)!r}]\n"
         "try:\n"
@@ -80,8 +92,13 @@ def loaded_by_command(*argv: str) -> set[str]:
     )
 
 
+def loaded_by_command(*argv: str) -> set[str]:
+    """The submodules that ``python -m descpoly ARGV`` loads."""
+    return submodules(modules_after_command(*argv))
+
+
 def test_import_descpoly_loads_no_submodule():
-    assert loaded_by("import descpoly") == set()
+    assert submodules(modules_after("import descpoly")) == set()
 
 
 def test_help_loads_only_the_cli():
@@ -89,9 +106,10 @@ def test_help_loads_only_the_cli():
 
 
 def test_sweep_and_tree_load_only_their_modules():
-    assert loaded_by_command("sweep", "2413") == {"cli", "nested", "permutations", "words"}
-    assert loaded_by_command("tree", "2143") == {"cli", "nested", "permutations", "words",
-                                                 "trees"}
+    assert loaded_by_command("sweep", "2413") == {"cli", "nested", "permutations", "value",
+                                                  "words"}
+    assert loaded_by_command("tree", "2143") == {"cli", "nested", "permutations", "value",
+                                                 "words", "trees"}
 
 
 def test_poly_from_the_cache_loads_no_verification_module(tmp_path):
@@ -103,7 +121,73 @@ def test_poly_from_the_cache_loads_no_verification_module(tmp_path):
 def test_poly_loads_no_enumeration_module():
     # the enumeration oracles import nested and permutations when they run
     assert loaded_by_command("poly", "D", "200") == {"cli", "errors", "families",
-                                                     "polynomials"}
+                                                     "polynomials", "value"}
+
+
+# The modules each verify suite loads: the suite's own, imported when it
+# runs, on top of cli, verify, families and what families imports.
+SUITE_MODULES = {
+    "tables": {"nested", "permutations", "rcindex", "trees", "words"},
+    "identities": {"nested", "permutations", "rcindex", "trees", "words"},
+    "bijection": {"bijection", "nested", "permutations", "trees", "words"},
+    "conjectures": {"gessel", "permutations", "realroots"},
+}
+SUITE_ARGS = {"tables": (), "identities": ("--max-n", "3"), "bijection": ("--max-n", "3"),
+              "conjectures": ("--max-n", "4")}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MODULES))
+def test_each_verify_suite_loads_only_its_modules(suite):
+    modules = modules_after_command("verify", suite, *SUITE_ARGS[suite])
+    common = {"cli", "errors", "families", "polynomials", "value", "verify"}
+    assert submodules(modules) == common | SUITE_MODULES[suite]
+    assert not modules & HEAVY
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("sweep", "2413"),
+    ("sweep", "2143"),
+    ("tree", "2143"),
+    ("poly", "S", "5"),
+    ("poly", "A", "5", "--method", "enum"),
+    ("gamma", "S", "5"),
+    ("rc-index", "5"),
+    ("rc-index", "5", "--ab"),
+    ("bij", "psi", "--tree", "{tree}"),
+    ("bij", "phi", "--tree", "{tree}"),
+], ids=" ".join)
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    tree = tmp_path / "t.tree"
+    tree.write_text("(- (+ _ _) _)")
+    modules = modules_after_command(*(a.format(tree=tree) for a in argv))
+    assert "descpoly.cli" in modules
+    assert not modules & HEAVY
+
+
+def test_poly_from_the_cache_loads_neither_dataclasses_nor_inspect(tmp_path):
+    for _ in range(2):  # a write, then a read
+        modules = modules_after_command("poly", "S", "6", "--cache-dir", str(tmp_path))
+        assert "descpoly.families" in modules and not modules & HEAVY
+    assert (tmp_path / "S_6.json").is_file()
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(descpoly.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert len(list(package.rglob("*.py"))) > 10
+    assert found == []
 
 
 def test_public_names_are_the_old_ones():

@@ -128,6 +128,41 @@ def test_cli_serves_no_bad_cache_entry(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1+20t+48t^2+20t^3+t^4"
 
 
+@pytest.mark.parametrize("family", sorted(PolyCache.FAMILIES))
+@pytest.mark.parametrize("n", [0, -1])
+def test_cache_refuses_n_below_1_before_reading(tmp_path, capsys, family, n):
+    planted = tmp_path / f"{family}_{n}.json"
+    planted.write_text(
+        json.dumps({"format_version": 1, "family": family, "n": n, "coeffs": []}))
+    with pytest.raises(ValueError, match="need n >= 1"):
+        PolyCache(tmp_path).get(family, n)
+    assert main(["--cache-dir", str(tmp_path), "poly", family, str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need n >= 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [planted.name]
+
+
+# Hand-edited entries that pass every structural check (integer
+# coefficients, degree below n) but count the wrong number of permutations:
+# d_5 = 44, 4! = 24 and 4! - d_4 = 15.
+@pytest.mark.parametrize("family, n, coeffs", [
+    ("D", 5, [0, 8, 24, 13]),
+    ("A", 4, [1, 11, 11, 2]),
+    ("Dtilde", 4, [1, 7, 7, 1]),
+])
+def test_cache_rejects_a_wrong_value_at_1(tmp_path, capsys, family, n, coeffs):
+    path = tmp_path / f"{family}_{n}.json"
+    path.write_text(json.dumps({"format_version": 1, "family": family, "n": n,
+                                "coeffs": coeffs}))
+    good = PolyCache.FAMILIES[family](n)
+    assert sum(coeffs) != good(1) and len(coeffs) <= n
+    assert main(["--format", "json", "--cache-dir", str(tmp_path), "poly", family, str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == list(good.coeffs)
+    assert json.loads(path.read_text())["coeffs"] == list(good.coeffs)
+    # the rewritten entry is served
+    assert PolyCache(tmp_path).get(family, n) == good
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
