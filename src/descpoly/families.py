@@ -10,12 +10,13 @@ All polynomials live in exact integer arithmetic:
   so A_n - D_n;
 * ``gamma_poly(n)``        - the gamma polynomial of S_n(t) in x.
 
-Each family satisfies a defining recurrence, and the enumeration methods
-recompute small cases from scratch as independent oracles, up to
+S_n, its root-label split and Gamma_n come in closed form by Lagrange
+inversion, one order at a time.  D_n, A_n and the complement follow a
+coefficient recurrence that asks for the orders below n in increasing
+order, so the recursion stays a few calls deep at any n.  The enumeration
+methods recompute small cases from scratch as independent oracles, up to
 ``BRUTE_FORCE_CAP``; each oracle over permutations is a histogram over the
-permutations of n that one predicate admits.  Each recurrence asks for the
-orders below n in increasing order, so every memo miss finds the orders
-below it cached and the recursion stays a few calls deep at any n.
+permutations of n that one predicate admits.
 
 The derangement coefficients satisfy, with the boundary value d(n, n-1)
 equal to 1 for even n and 0 for odd n,
@@ -41,18 +42,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import ResourceCapError
-from .polynomials import (
-    GammaVector,
-    IntPolynomial,
-    binomial,
-    gamma_decompose,
-    is_palindromic,
-)
+from .polynomials import GammaVector, IntPolynomial, binomial, gamma_decompose, is_palindromic
 
 # Largest n that the enumeration oracles run at.
 BRUTE_FORCE_CAP = 8
-
-ONE_PLUS_T = IntPolynomial((1, 1))
 
 
 def _check_cap(n: int) -> None:
@@ -76,8 +69,14 @@ def derangement_count(n: int) -> int:
 
 
 def schroder_number(n: int) -> int:
-    """Number of separable permutations of n (1, 2, 6, 22, 90, ...)."""
-    return separable_poly(n)(1)
+    """Number of separable permutations of n (1, 2, 6, 22, 90, ...), the large
+    Schroder number r_{n-1}: (m+1) r_m = 3(2m-1) r_{m-1} - (m-2) r_{m-2}."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    r = [1, 2]
+    for m in range(2, n):
+        r.append((3 * (2 * m - 1) * r[-1] - (m - 2) * r[-2]) // (m + 1))
+    return r[n - 1]
 
 
 def _histogram(exponents) -> IntPolynomial:
@@ -110,7 +109,30 @@ def _by_enumeration(n: int, method: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# S_n(t)
+# S_n(t), its root-label split and its gamma polynomial
+
+
+def _lagrange_sum(n: int, m: int) -> list[int]:
+    """[t^k] (1/n) sum_c C(n+c-1, c) C(m, k-c) C(n, n-1-k-c) for k < n.
+
+    Each k starts from the binomial rows; each step in c multiplies and
+    exactly divides by the term ratio, a quotient of small integers."""
+    row_n, row_m, rising = [1], [1], [1]  # C(n, i), C(m, i), C(n-1+i, i)
+    for i in range(n):
+        row_n.append(row_n[-1] * (n - i) // (i + 1))
+        row_m.append(row_m[-1] * (m - i) // (i + 1))
+        rising.append(rising[-1] * (n + i) // (i + 1))
+    coeffs = []
+    for k in range(n):
+        lo, hi = max(0, k - m), min(k, n - 1 - k)
+        j = n - 1 - k - lo
+        term = total = rising[lo] * row_m[k - lo] * row_n[j] if lo <= hi else 0
+        for c in range(lo, hi):
+            term = term * ((n + c) * (k - c) * j) // ((c + 1) * (m - k + c + 1) * (n - j + 1))
+            total += term
+            j -= 1
+        coeffs.append(total // n)
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -120,49 +142,19 @@ def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     >>> str(separable_poly(4))
     '1+10t+10t^2+t^3'
 
-    The recurrence convolves smaller cases:
+    The generating function S = sum_n S_n z^n solves the cubic of
+    ``cubic_equation_residual``, so z = S / phi(S) with
+    phi(u) = (1+u)(1+tu)/(1-tu^2), and Lagrange inversion (Stanley, EC2,
+    Thm 5.4.2) gives each order on its own, with no lower orders:
 
-        S_n = (1+t) S_{n-1}
-              + t * sum_j S_j (S_{n-j-1} + sum_i S_i S_{n-j-i}).
-
-    The inner sums are the self-convolutions C_m = sum_i S_i S_{m-i}, and
-    sum_j S_j S_{n-j-1} is C_{n-1}; each C_m is computed once and cached
-    (``_self_convolution``), so an order costs O(n) products.
+        S_n = (1/n) [u^(n-1)] phi(u)^n,
+        [t^k] S_n = (1/n) sum_c C(n+c-1, c) C(n, k-c) C(n, n-1-k-c).
     """
     if _by_enumeration(n, method):
         from .permutations import is_separable
 
         return _descent_histogram(n, is_separable)
-    return _convolution_recurrence(separable_poly, ONE_PLUS_T, n)
-
-
-def _convolution_recurrence(member, lin: IntPolynomial, n: int) -> IntPolynomial:
-    """P_n = lin P_{n-1} + t (C_{n-1} + sum_{j=1}^{n-2} P_j C_{n-j}), P_1 = 1.
-
-    ``member(j)`` is P_j; the orders below n are asked for in increasing
-    order, so each memo miss finds the order below it cached.
-    """
-    if n == 1:
-        return IntPolynomial.one()
-    p = [None] * n  # p[j] = P_j for 1 <= j < n
-    for j in range(1, n):
-        p[j] = member(j)
-    acc = _self_convolution(member, n - 1)
-    for j in range(1, n - 1):
-        acc = acc + p[j] * _self_convolution(member, n - j)
-    return lin * p[n - 1] + acc.shift(1)
-
-
-@lru_cache(maxsize=None)
-def _self_convolution(member, m: int) -> IntPolynomial:
-    """C_m = sum_{i=1}^{m-1} P_i P_{m-i} for P_i = member(i), all cached."""
-    acc = IntPolynomial.zero()
-    for i in range(1, (m + 1) // 2):
-        acc = acc + member(i) * member(m - i)
-    acc = acc + acc
-    if m % 2 == 0:
-        acc = acc + member(m // 2) * member(m // 2)
-    return acc
+    return IntPolynomial(_lagrange_sum(n, n))
 
 
 @lru_cache(maxsize=None)
@@ -171,26 +163,17 @@ def separable_split(n: int) -> tuple[IntPolynomial, IntPolynomial]:
 
     Convention: both components are 1 at n = 1 (empty tree on either side),
     so S_n = S^+ + S^- only from n = 2 on.  A '+'-rooted tree is any left
-    subtree plus a '-'-rooted (possibly empty) right subtree, and dually:
-
-        S^+_n = sum_j S_j S^-_{n-j},   S^-_n = t * sum_j S_j S^+_{n-j}.
+    subtree plus a '-'-rooted (possibly empty) right subtree, and dually,
+    so S^+ = S/(1+tS) and Lagrange inversion gives the sum of
+    ``separable_poly`` with C(n-2, k-c) for C(n, k-c).  S^-_n is S^+_n
+    read backwards over degrees 0..n-1, t^(n-1) S^+_n(1/t).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return (IntPolynomial.one(), IntPolynomial.one())
-    splits = [None] * n  # splits[j] = (S^+_j, S^-_j) for 1 <= j < n
-    for j in range(1, n):
-        splits[j] = separable_split(j)
-    plus = IntPolynomial.zero()
-    minus = IntPolynomial.zero()
-    t = IntPolynomial.t()
-    for j in range(1, n):
-        sj = separable_poly(j)
-        split = splits[n - j]
-        plus = plus + sj * split[1]
-        minus = minus + sj * split[0]
-    return (plus, t * minus)
+    plus = _lagrange_sum(n, n - 2)
+    return (IntPolynomial(plus), IntPolynomial(plus[::-1]))
 
 
 def separable_split_enum(n: int) -> tuple[IntPolynomial, IntPolynomial]:
@@ -214,9 +197,11 @@ def separable_gamma(n: int) -> GammaVector:
 def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Gamma polynomial of S_n(t) as a polynomial in x.
 
-    Satisfies the same convolution recurrence as S_n with (1+t) replaced by
-    1 and the outer t by x, and runs through the same code, with its own
-    cached self-convolutions C_m = sum_i Gamma_i Gamma_{m-i}.
+    Gamma_n(x) = S_n(t) / (1+t)^(n-1) at x = t/(1+t)^2, and
+    phi(u/(1+t)) = (1+u+xu^2)/(1-xu^2), so by Lagrange inversion
+    Gamma_n = (1/n) [u^(n-1)] ((1+u+xu^2)/(1-xu^2))^n and, with a = n-1-2k,
+
+        [x^k] Gamma_n = (1/n) C(n, a) sum_b C(n-a, b) C(n+k-b-1, k-b).
 
     >>> gamma_poly(6).coeffs
     (1, 30, 61)
@@ -226,7 +211,18 @@ def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """
     if _by_enumeration(n, method):
         return separable_gamma_histogram(n)
-    return _convolution_recurrence(gamma_poly, IntPolynomial.one(), n)
+    coeffs = []
+    outer, first = n, 1  # C(n, a) and C(n+k-1, k) at k = 0
+    for k in range((n + 1) // 2):
+        a = n - 1 - 2 * k
+        term = total = first
+        for b in range(k):
+            term = term * ((n - a - b) * (k - b)) // ((b + 1) * (n + k - b - 1))
+            total += term
+        coeffs.append(outer * total // n)
+        outer = outer * (a * (a - 1)) // ((n - a + 1) * (n - a + 2))
+        first = first * (n + k) // (k + 1)
+    return IntPolynomial(coeffs)
 
 
 def cubic_equation_residual(order: int) -> list[IntPolynomial]:
@@ -253,7 +249,7 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
     residual = [IntPolynomial.zero() for _ in range(order + 1)]
     residual[1] = residual[1] + IntPolynomial.one()          # z
     for m in range(order):                                   # (1+t) z S
-        residual[m + 1] = residual[m + 1] + ONE_PLUS_T * series[m]
+        residual[m + 1] = residual[m + 1] + IntPolynomial((1, 1)) * series[m]
     for m in range(order):                                   # t z S^2
         residual[m + 1] = residual[m + 1] + t * s2[m]
     for m in range(order + 1):                               # t S^3 - S
@@ -475,13 +471,14 @@ class PolyCache:
 
     A stored entry is served only when its ``format_version``, ``family``
     and ``n`` fields match, its coefficients are integers, its degree is
-    below n, for S it is palindromic of darga n - 1, and for D, A and
-    Dtilde its value at 1 is d_n, n! and n! - d_n, the number of
-    permutations it ranges over.  Otherwise it counts as a miss: the
-    polynomial is recomputed and the file rewritten.  An n below 1 is
-    refused before any file is read.
-    Writes go through a temporary file in the same directory and
-    ``os.replace``, so a reader never sees half a file.
+    below n, for S it is palindromic of darga n - 1, and it counts the
+    permutations it ranges over: its value at 1 is r_{n-1}, d_n, n! and
+    n! - d_n for S, D, A and Dtilde, and for Gamma, of degree at most
+    (n-1)/2, sum_k gamma_k 2^(n-1-2k) = S_n(1).  Otherwise it counts as a
+    miss: the polynomial is recomputed and the file rewritten.  An n below
+    1 is refused before any file is read.  Writes go through a temporary
+    file in the same directory and ``os.replace``, so a reader never sees
+    half a file.
     """
 
     FORMAT_VERSION = 1
@@ -492,10 +489,12 @@ class PolyCache:
         "Dtilde": complement_poly,
         "Gamma": gamma_poly,
     }
-    VALUE_AT_ONE = {
+    COUNTS = {
+        "S": schroder_number,
         "D": derangement_count,
         "A": math.factorial,
         "Dtilde": lambda n: math.factorial(n) - derangement_count(n),
+        "Gamma": schroder_number,
     }
 
     def __init__(self, directory: str | Path):
@@ -517,17 +516,8 @@ class PolyCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "format_version": self.FORMAT_VERSION,
-                        "family": family,
-                        "n": n,
-                        "coeffs": poly.to_json(),
-                    },
-                    indent=1,
-                )
-            )
+            tmp.write_text(json.dumps({"format_version": self.FORMAT_VERSION, "family": family,
+                                       "n": n, "coeffs": poly.to_json()}, indent=1))
             os.replace(tmp, p)
         finally:
             tmp.unlink(missing_ok=True)
@@ -551,7 +541,10 @@ class PolyCache:
         poly = IntPolynomial(coeffs)
         if family == "S" and not is_palindromic(poly, n - 1):
             return None
-        count = self.VALUE_AT_ONE.get(family)
-        if count is not None and poly(1) != count(n):
-            return None
-        return poly
+        if family == "Gamma":
+            if len(coeffs) > (n + 1) // 2:
+                return None
+            count = sum(g << (n - 1 - 2 * k) for k, g in enumerate(coeffs))
+        else:
+            count = poly(1)
+        return poly if count == self.COUNTS[family](n) else None

@@ -270,16 +270,20 @@ def gamma_decompose(p: IntPolynomial, darga: int) -> GammaVector:
             f"not palindromic of darga {darga}: support [{r}, {s}], "
             f"coefficients {list(p.coeffs)}"
         )
-    one_plus_t = IntPolynomial((1, 1))
-    residual = p
+    residual = list(p.coeffs)
     gammas = []
     for k in range(r, darga // 2 + 1):
         g = residual[k]
         gammas.append(g)
         if g:
-            residual = residual - (one_plus_t ** (darga - 2 * k)).shift(k) * g
-    if not residual.is_zero():
-        raise NotPalindromicError(f"nonzero residual {residual!r} at darga {darga}")
+            # subtract g t^k (1+t)^m in place, C(m, i) by running ratios
+            m, c = darga - 2 * k, g
+            for i in range(m + 1):
+                residual[k + i] -= c
+                c = c * (m - i) // (i + 1)
+    if any(residual):
+        raise NotPalindromicError(
+            f"nonzero residual {IntPolynomial(residual)!r} at darga {darga}")
     while gammas and gammas[-1] == 0:
         gammas.pop()
     return GammaVector(darga, r, tuple(gammas))

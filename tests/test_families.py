@@ -1,5 +1,6 @@
 """Polynomial families: tables, recurrences vs enumeration, spiral, identities."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -140,7 +141,8 @@ def test_gamma_poly_three_ways():
 
 
 # Orders above the recursion limit, in an interpreter whose memo tables
-# start empty; each recurrence must keep its memo misses shallow.
+# start empty: the closed forms ask for no lower order, and the complement
+# recurrence must keep its memo misses shallow.
 _ABOVE_A_LOW_RECURSION_LIMIT = """
 import json, sys
 from descpoly.families import complement_poly, gamma_poly, separable_poly, separable_split
@@ -179,12 +181,68 @@ def _triple_convolution(lin, n_max):
     return p
 
 
-def test_cached_convolution_matches_the_triple_convolution():
+def _split_recurrence(n_max):
+    """(S^+_n, S^-_n) for n = 1..n_max by the root-label recurrence, both
+    components 1 at n = 1: a '+'-rooted tree is any left subtree plus a
+    '-'-rooted (possibly empty) right subtree, and dually, so
+    S^+_n = sum_j S_j S^-_{n-j} and S^-_n = t sum_j S_j S^+_{n-j}."""
+    s = _triple_convolution(IntPolynomial((1, 1)), n_max)
+    t = IntPolynomial.t()
+    split = [None, (IntPolynomial.one(), IntPolynomial.one())]
+    for n in range(2, n_max + 1):
+        plus = minus = IntPolynomial.zero()
+        for j in range(1, n):
+            plus = plus + s[j] * split[n - j][1]
+            minus = minus + s[j] * split[n - j][0]
+        split.append((plus, t * minus))
+    return split
+
+
+def test_closed_forms_match_the_triple_convolution():
     for name, lin, member in (("S", IntPolynomial((1, 1)), separable_poly),
                               ("Gamma", IntPolynomial.one(), gamma_poly)):
         reference = _triple_convolution(lin, 40)
         for n in range(1, 41):
             assert member(n) == reference[n], (name, n)
+
+
+def test_split_recurrence_matches_the_closed_form():
+    reference = _split_recurrence(40)
+    for n in range(1, 41):
+        assert separable_split(n) == reference[n], n
+
+
+# SHA-256 of json.dumps([[S_n], [Gamma_n], [[S^+_n, S^-_n]]]) over
+# n = 1..200, each member as its coefficient list, as the convolution
+# recurrences computed them before the closed forms replaced them.
+MEMBERS_TO_200_SHA256 = "9c7537068ea822e7b81bc6f40e4af48accdc1d3ded9b6882a2fa42d0ab88d806"
+
+
+def test_members_to_200_match_the_recurrence_digest():
+    ns = range(1, 201)
+    text = json.dumps([[list(separable_poly(n).coeffs) for n in ns],
+                       [list(gamma_poly(n).coeffs) for n in ns],
+                       [[list(p.coeffs) for p in separable_split(n)] for n in ns]])
+    assert hashlib.sha256(text.encode()).hexdigest() == MEMBERS_TO_200_SHA256
+
+
+def test_gamma_poly_is_the_gamma_vector_of_S_to_200():
+    for n in range(1, 201):
+        assert gamma_poly(n).coeffs == separable_gamma(n).gammas, n
+
+
+def test_S_and_Gamma_at_n_1000():
+    s, gamma, r = separable_poly(1000), gamma_poly(1000), schroder_number(1000)
+    assert s.degree == 999 and is_palindromic(s, 999)
+    assert s(1) == r
+    assert gamma.degree <= 499
+    assert sum(g << (999 - 2 * k) for k, g in enumerate(gamma.coeffs)) == r
+
+
+def test_schroder_number_recurrence():
+    assert all(schroder_number(n) == separable_poly(n)(1) for n in range(1, 61))
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        schroder_number(0)
 
 
 def test_coefficient_recurrences_match_the_derivative_form():

@@ -76,6 +76,6 @@ def test_real_root_count_against_sympy(factors, scale):
 
 
 def test_descent_polynomials_real_rooted_evidence():
-    for n in range(2, 31):
+    for n in range(2, 41):
         assert is_real_rooted(separable_poly(n)), n
         assert is_real_rooted(derangement_poly(n)), n

@@ -163,6 +163,25 @@ def test_cache_rejects_a_wrong_value_at_1(tmp_path, capsys, family, n, coeffs):
     assert PolyCache(tmp_path).get(family, n) == good
 
 
+# Entries of S and Gamma that pass every structural check but count the
+# wrong number of separable permutations (r_4 = 90): S_5(1) = 92, and 9 + 9x
+# gives 9*2^4 + 9*2^2 = 180; the last has degree 3 > (5-1)/2.
+@pytest.mark.parametrize("family, coeffs, text", [
+    ("S", [1, 21, 48, 21, 1], "1+20t+48t^2+20t^3+t^4"),
+    ("Gamma", [9, 9], "1+16x+10x^2"),
+    ("Gamma", [1, 16, 10, 4], "1+16x+10x^2"),
+])
+def test_cache_recomputes_a_planted_S_or_Gamma_entry(tmp_path, capsys, family, coeffs, text):
+    path = tmp_path / f"{family}_5.json"
+    path.write_text(json.dumps({"format_version": 1, "family": family, "n": 5,
+                                "coeffs": coeffs}))
+    good = PolyCache.FAMILIES[family](5)
+    assert main(["--cache-dir", str(tmp_path), "poly", family, "5"]) == 0
+    assert capsys.readouterr().out.strip() == text
+    assert json.loads(path.read_text())["coeffs"] == list(good.coeffs)
+    assert PolyCache(tmp_path).get(family, 5) == good
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
