@@ -20,6 +20,9 @@ tagged I..VI and 1..6; matching tags are inverse to each other.  All the
 elementary moves on one tree touch pairwise disjoint chains, so they can be
 applied in any order.
 
+``bijection_certificate`` checks a whole bucket by mapping each family-two
+tree there and back and counting both families, never storing a tree.
+
 Every post-condition and case-analysis claim is checked with an explicit
 ``InvariantError``, so the checks stay on under ``python -O``.
 """
@@ -434,11 +437,12 @@ def order_independence_certificate(
     """
     m = classify(tree)
     if m.in_dt2:
-        batch, planner = psi(tree), psi_plan
+        planner = psi_plan
     elif m.in_dt1:
-        batch, planner = phi(tree), phi_plan
+        planner = phi_plan
     else:
         raise FamilyError("tree belongs to neither family")
+    batch = _apply_checked(tree, planner(tree), m.n_minus, m.in_dt2)
     rng = random.Random(seed)
     for _ in range(trials):
         current = tree
@@ -455,44 +459,38 @@ def order_independence_certificate(
 def bijection_certificate(n: int, k: int) -> dict:
     """Exhaustive check of the two families at (n, k); JSON-ready record.
 
-    Only the trees with k minus labels can belong to either family, so
-    only that bucket of ``enumerate_trees(n, n_minus=k)`` is classified.
-    Each member is mapped once, psi on family two and phi on family one,
-    and its plan feeds both the case histogram and the map, which checks
-    its image as ``psi``/``phi`` do.  The record certifies that psi is
-    injective, that its images are exactly family one, and that phi
-    undoes psi on family two and psi undoes phi on family one.
+    One pass over the bucket ``enumerate_trees(n, n_minus=k)`` classifies
+    each tree once and counts both families.  Each family-two tree is
+    mapped by psi and its image back by phi, each leg checked as
+    ``psi``/``phi`` check it; no tree is kept.  ``bijection_ok`` says every
+    round trip returned its own tree and the counts agree.  That is the
+    whole bijection: phi∘psi = id makes psi injective, and psi lands in
+    family one, of equal size, so it is onto and phi inverts it.  Hence the
+    phi plans ran on exactly family one, and the case histogram counts
+    each member's own plan once.
     """
     from .trees import enumerate_trees
 
-    dt1 = []
-    dt2 = []
+    dt1 = dt2 = returned = 0
+    histogram: dict[str, int] = {}
     for t in enumerate_trees(n, n_minus=k):
         m = classify(t, k)
-        if m.in_dt1:
-            dt1.append(t)
-        if m.in_dt2:
-            dt2.append(t)
-    histogram: dict[str, int] = {}
-    images: dict[DiskTree, DiskTree] = {}      # psi on family two
-    preimages: dict[DiskTree, DiskTree] = {}   # phi on family one
-    for members, planner, out, to_family_one in ((dt2, psi_plan, images, True),
-                                                 (dt1, phi_plan, preimages, False)):
-        for t in members:
-            ops = planner(t)
+        dt1 += m.in_dt1
+        if not m.in_dt2:
+            continue
+        dt2 += 1
+        image = t
+        for planner, to_family_one in ((psi_plan, True), (phi_plan, False)):
+            ops = planner(image)
             for op in ops:
                 histogram[op.case] = histogram.get(op.case, 0) + 1
-            out[t] = _apply_checked(t, ops, k, to_family_one)
-    ok = (
-        len(set(images.values())) == len(dt2) == len(dt1)
-        and all(preimages.get(image) == t for t, image in images.items())
-        and all(images.get(back) == t for t, back in preimages.items())
-    )
+            image = _apply_checked(image, ops, k, to_family_one)
+        returned += image == t
     return {
         "n": n,
         "k": k,
-        "dt1_count": len(dt1),
-        "dt2_count": len(dt2),
-        "bijection_ok": ok,
+        "dt1_count": dt1,
+        "dt2_count": dt2,
+        "bijection_ok": returned == dt2 == dt1,
         "case_histogram": dict(sorted(histogram.items())),
     }

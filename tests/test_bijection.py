@@ -1,12 +1,15 @@
 """The gamma bijection: fixtures, exhaustive inverses, order independence."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import descpoly.bijection
 from descpoly.bijection import (
     FamilyError,
     InvariantError,
@@ -246,6 +249,50 @@ def test_certificate_equals_a_direct_loop(n):
         assert cert["bijection_ok"]
         got = (cert["dt1_count"], cert["dt2_count"], cert["case_histogram"])
         assert got == _certificate_by_direct_loop(n, k), (n, k)
+
+
+@pytest.mark.parametrize("broken, claim", [
+    ("psi_plan", "psi lands in family one"),
+    ("phi_plan", "phi lands in family two"),
+])
+def test_certificate_catches_a_map_that_moves_nothing(monkeypatch, broken, claim):
+    # (5, 1) has members outside the other family, so an empty plan leaves
+    # an image in the wrong family, on the way there or on the way back.
+    monkeypatch.setattr(descpoly.bijection, broken, lambda tree: [])
+    with pytest.raises(InvariantError, match=claim):
+        bijection_certificate(5, 1)
+
+
+def test_certificate_catches_a_round_trip_that_does_not_return(monkeypatch):
+    good = bijection_certificate(5, 1)
+    monkeypatch.setattr(DiskTree, "__eq__", lambda self, other: False)
+    bad = bijection_certificate(5, 1)
+    assert good["bijection_ok"] and not bad["bijection_ok"]
+    assert {**bad, "bijection_ok": True} == good
+
+
+def test_certificate_working_memory_is_constant():
+    # With the bucket already generated, the certificate keeps counts
+    # only: no tree outlives its own round trip.
+    list(enumerate_trees(8, n_minus=3))
+    tracemalloc.start()
+    try:
+        bijection_certificate(8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_census_at_n10_is_pinned():
+    records = [bijection_certificate(10, k) for k in range(5)]
+    gamma = separable_gamma(10)
+    assert [gamma[k] for k in range(5)] == [1, 156, 2898, 10200, 5641]
+    for k, cert in enumerate(records):
+        assert cert["bijection_ok"], k
+        assert cert["dt1_count"] == cert["dt2_count"] == gamma[k], k
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "95726a109a24b777a50d7427599eebcccacfc5aca77aca928fd384a34afbaeb3"
 
 
 def test_invariant_error_is_an_assertion_error():
