@@ -33,9 +33,8 @@ import random
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
-from .nested import rebuild
-from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView
-from .words import MINUS, PLUS
+from .nested import MINUS, PLUS, rebuild
+from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
 
 ADJOINT_CASES = ("I", "II", "III", "IV", "V", "VI")
 REPAIR_CASES = (1, 2, 3, 4, 5, 6)
@@ -469,8 +468,6 @@ def bijection_certificate(n: int, k: int) -> dict:
     phi plans ran on exactly family one, and the case histogram counts
     each member's own plan once.
     """
-    from .trees import enumerate_trees
-
     dt1 = dt2 = returned = 0
     histogram: dict[str, int] = {}
     for t in enumerate_trees(n, n_minus=k):

@@ -469,35 +469,29 @@ def enumerate_shapes(n: int) -> Iterator[TreeShape]:
 
 
 @lru_cache(maxsize=None)
-def _gen_trees(m: int, forbidden_root: str | None) -> tuple[Node, ...]:
+def _gen_trees(m: int) -> tuple[tuple[Node, ...], tuple[int, ...]]:
+    """The di-sk tree roots on m nodes, and each root's number of ``-``
+    labels.  The ``+``-rooted trees fill the first half and the
+    ``-``-rooted ones the second: flipping every label pairs the halves.
+    So a right child, which must not repeat its parent's label, comes from
+    the other half of its order, or is empty."""
     if m == 0:
-        return (None,)
-    out: list[Node] = []
-    labels = [l for l in (PLUS, MINUS) if l != forbidden_root]
-    for lab in labels:
+        return (None,), (0,)
+    roots: list[Node] = []
+    counts: list[int] = []
+    for lab, own in ((PLUS, 0), (MINUS, 1)):
         for i in range(m):
-            for left in _gen_trees(i, None):
-                for right in _gen_trees(m - 1 - i, lab):
-                    out.append((lab, left, right))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _by_minus_count(m: int) -> tuple[tuple[Node, ...], ...]:
-    """The roots of ``_gen_trees(m, None)`` by their number of ``-``
-    labels (entry k holds those with k), in enumeration order.  The entries
-    are the memoized roots themselves, not copies."""
-    buckets: list[list[Node]] = [[] for _ in range(m + 1)]
-    for root in _gen_trees(m, None):
-        count, stack = 0, [root]
-        while stack:
-            node = stack.pop()
-            if node is not None:
-                if node[0] == MINUS:
-                    count += 1
-                stack += (node[1], node[2])
-        buckets[count].append(root)
-    return tuple(map(tuple, buckets))
+            lefts, left_counts = _gen_trees(i)
+            rights, right_counts = _gen_trees(m - 1 - i)
+            if i < m - 1:
+                half = len(rights) // 2
+                cut = slice(half, None) if lab == PLUS else slice(half)
+                rights, right_counts = rights[cut], right_counts[cut]
+            for left, left_count in zip(lefts, left_counts):
+                roots += [(lab, left, right) for right in rights]
+                base = own + left_count
+                counts += [base + c for c in right_counts]
+    return tuple(roots), tuple(counts)
 
 
 def enumerate_trees(n: int, n_minus: Optional[int] = None) -> Iterator[DiskTree]:
@@ -505,13 +499,14 @@ def enumerate_trees(n: int, n_minus: Optional[int] = None) -> Iterator[DiskTree]
     ``n_minus``, only those with that many ``-`` labels, in the same order.
 
     Alternation is enforced locally: a right child never repeats its
-    parent's label.  The trees of each order are generated once, and
-    bucketed by minus count once, per process.
+    parent's label.  Each order is generated once per process, in one
+    memo entry that carries every root's minus count, summed as the tree
+    is built; a bucket is that memo read through a filter on the counts,
+    so it yields the memoized roots themselves.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n_minus is None:
-        roots = _gen_trees(n - 1, None)
-    else:
-        roots = _by_minus_count(n - 1)[n_minus] if 0 <= n_minus < n else ()
+    roots, counts = _gen_trees(n - 1)
+    if n_minus is not None:
+        roots = (t for t, c in zip(roots, counts) if c == n_minus)
     return (DiskTree(t, _validate=False) for t in roots)

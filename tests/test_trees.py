@@ -2,16 +2,18 @@
 
 import itertools
 import json
+from functools import lru_cache
 
 import pytest
 
-from descpoly.families import catalan
+from descpoly.families import catalan, separable_poly
 from descpoly.permutations import identity, parse_permutation, separable_permutations
 from descpoly.trees import (
     DiskTree,
     InvalidTreeError,
     TreeShape,
     enumerate_shapes,
+    _gen_trees,
     enumerate_trees,
     perm_to_tree,
     tree_to_word,
@@ -394,3 +396,54 @@ def test_chain_nodes_are_the_chains_of_the_view():
             assert t.chain_nodes() == tuple(c.nodes for c in t.right_chains().chains)
             for c in t.right_chains().chains:
                 assert all(t.chain_index_of(v) == c.index for v in c.nodes)
+
+
+# The generator as it stood before each order carried its minus counts:
+# one memo entry per forbidden root label, and the buckets from a walk over
+# every tree.  Kept as the reference for order and bucket contents.
+@lru_cache(maxsize=None)
+def _reference_gen_trees(m, forbidden_root):
+    if m == 0:
+        return (None,)
+    out = []
+    for lab in [l for l in "+-" if l != forbidden_root]:
+        for i in range(m):
+            for left in _reference_gen_trees(i, None):
+                for right in _reference_gen_trees(m - 1 - i, lab):
+                    out.append((lab, left, right))
+    return tuple(out)
+
+
+def _reference_buckets(m):
+    buckets = [[] for _ in range(m + 1)]
+    for root in _reference_gen_trees(m, None):
+        count, stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                count += node[0] == "-"
+                stack += (node[1], node[2])
+        buckets[count].append(root)
+    return buckets
+
+
+def test_enumeration_matches_the_reference_generator():
+    for n in range(1, 9):
+        assert [t.root for t in enumerate_trees(n)] == list(_reference_gen_trees(n - 1, None))
+        for k, expected in enumerate(_reference_buckets(n - 1)):
+            assert [t.root for t in enumerate_trees(n, n_minus=k)] == expected, (n, k)
+    for m in range(1, 8):
+        roots, _ = _gen_trees(m)
+        half = len(roots) // 2
+        assert 2 * half == len(roots)
+        assert all(r[0] == "+" for r in roots[:half]) and all(r[0] == "-" for r in roots[half:])
+
+
+def test_bucket_sizes_are_the_descent_polynomial():
+    # Node i is '-' exactly when i is a descent, so the bucket sizes are
+    # the coefficients of S_n(t), here from the Lagrange sum.
+    for n in range(1, 11):
+        sizes = [sum(1 for _ in enumerate_trees(n, n_minus=k)) for k in range(n)]
+        assert sizes == list(separable_poly(n).coeffs), n
+        assert list(enumerate_trees(n, n_minus=-1)) == []
+        assert list(enumerate_trees(n, n_minus=n)) == []
