@@ -43,7 +43,7 @@ _HOMES = {
         "schroder_number", "separable_gamma", "separable_poly",
         "separable_split", "spiral_report", "verify_series_identity",
     ),
-    "gessel": ("GesselGamma", "Indeterminate", "gessel_gamma", "two_var_poly"),
+    "gessel": ("GesselGamma", "gessel_gamma", "two_var_poly"),
     "permutations": (
         "Permutation", "all_permutations", "derangements", "desarrangements",
         "insert_value", "is_separable", "parse_permutation",

@@ -6,24 +6,26 @@ swaps the two statistics.
 
 ``gessel_gamma(n)`` expresses that polynomial in the basis
 
-    (s t)^i (1 + s t)^j (s + t)^(n - 1 - j - 2i),     i, j >= 0, j + 2i <= n-1,
+    (s t)^i (1 + s t)^j (s + t)^(n - 1 - j - 2i),     i, j >= 0, j + 2i <= n-1.
 
-by solving an exact linear system.  Uniqueness of the expansion is not
-assumed: the solver reports the rank, and returns an Indeterminate marker
-carrying the solution-space dimension whenever the basis fails to be
-independent.  When the expansion exists the coefficients are conjecturally
-nonnegative and dominate the separable gamma coefficients along the edge
-j = n - 1 - 2i.
+The expansion is unique when it exists.  A symmetric polynomial is one
+polynomial in e1 = s + t and e2 = s t, and a basis element is
+e2^i (1 + e2)^j e1^m with m = n - 1 - j - 2i.  So the coefficient of e1^m
+is a polynomial in e2 whose one-variable gamma expansion at darga
+n - 1 - m, itself unique, gives the gamma_{i, j} with that m.  Lin proved
+the coefficients nonnegative ("Proof of Gessel's gamma-positivity
+conjecture", Electron. J. Combin. 23, 2016); that they dominate the
+separable gamma coefficients along the edge j = n - 1 - 2i is evidence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
 
 from .errors import InvariantError
 from .families import _check_cap, separable_gamma
 from .permutations import all_permutations
+from .polynomials import IntPolynomial, gamma_decompose
 from .value import Value
 
 Grid = dict[tuple[int, int], int]
@@ -56,41 +58,6 @@ class BivariatePolynomial(Value):
         return {k: v for k, v in out.items() if v}
 
 
-def _mul(a: Grid, b: Grid) -> Grid:
-    out: Grid = {}
-    for (i, j), u in a.items():
-        for (k, l), v in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + u * v
-    return {k: v for k, v in out.items() if v}
-
-
-def _power(base: Grid, n: int) -> Grid:
-    result: Grid = {(0, 0): 1}
-    for _ in range(n):
-        result = _mul(result, base)
-    return result
-
-
-_ST: Grid = {(1, 1): 1}
-_ONE_PLUS_ST: Grid = {(0, 0): 1, (1, 1): 1}
-_S_PLUS_T: Grid = {(1, 0): 1, (0, 1): 1}
-
-
-def basis_element(n: int, i: int, j: int) -> Grid:
-    """(st)^i (1+st)^j (s+t)^(n-1-j-2i) as a coefficient grid."""
-    return _mul(_power(_ST, i), _mul(_power(_ONE_PLUS_ST, j), _power(_S_PLUS_T, n - 1 - j - 2 * i)))
-
-
-def basis_index(n: int) -> list[tuple[int, int]]:
-    """(i, j) pairs with j + 2i <= n - 1 in lexicographic order."""
-    return [
-        (i, j)
-        for i in range((n - 1) // 2 + 1)
-        for j in range(n - 1 - 2 * i + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def two_var_poly(n: int) -> BivariatePolynomial:
     """sum over S_n of s^ides t^des, by direct enumeration, memoized as
@@ -108,24 +75,10 @@ def two_var_poly(n: int) -> BivariatePolynomial:
     return BivariatePolynomial(grid)
 
 
-class Indeterminate(NamedTuple):
-    """The linear system has no unique solution; carries rank data."""
-
-    n: int
-    rank: int
-    unknowns: int
-    consistent: bool
-
-    @property
-    def solution_space_dim(self) -> Optional[int]:
-        return self.unknowns - self.rank if self.consistent else None
-
-
 class GesselGamma(Value):
-    __slots__ = ("n", "gammas", "rank")
+    __slots__ = ("n", "gammas")
     n: int
     gammas: tuple[tuple[tuple[int, int], int], ...]   # ((i, j), gamma)
-    rank: int
 
     def as_dict(self) -> Grid:
         return dict(self.gammas)
@@ -149,68 +102,55 @@ class GesselGamma(Value):
         )
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[int, bool, Optional[tuple[list[int], int]]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+def _symmetric_coordinates(grid: Grid) -> dict[tuple[int, int], int]:
+    """Write a symmetric grid as sum c (st)^b (s+t)^m; returns {(b, m): c}.
 
-    Returns (rank, consistent, solution), where a unique solution comes as
-    integer numerators over one common nonzero denominator and is None
-    otherwise.  Each step replaces every other row r by
-    (pivot * r - r[col] * pivot row) / previous pivot, a division that is
-    exact; afterwards every pivot row holds the last pivot in its pivot
-    column and zeros in the other pivot columns.
+    The lex-leading monomial s^a t^c of a symmetric polynomial has a >= c,
+    and it leads (st)^c (s+t)^(a-c) too, so subtracting that element times
+    its coefficient lowers the leading monomial.  A leading monomial with
+    a < c means the grid was not symmetric.
+
+    >>> _symmetric_coordinates({(0, 0): 1, (1, 1): 4, (2, 2): 1})
+    {(2, 0): 1, (1, 0): 4, (0, 0): 1}
     """
-    m, cols = len(rows), len(rows[0]) if rows else 0
-    a = [list(row) + [y] for row, y in zip(rows, rhs)]
-    rank = 0
-    pivots: list[int] = []
-    previous = 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        pv = top[col]
-        for r in range(m):
-            if r != rank:
-                factor = a[r][col]
-                a[r] = [(pv * x - factor * y) // previous for x, y in zip(a[r], top)]
-        previous = pv
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    consistent = all(
-        row[cols] == 0 or any(x != 0 for x in row[:cols]) for row in a[rank:]
-    )
-    if not consistent or rank < cols:
-        return rank, consistent, None
-    solution = [0] * cols
-    for r, col in enumerate(pivots):
-        solution[col] = a[r][cols]
-    return rank, True, (solution, previous)
+    residual = {k: v for k, v in grid.items() if v}
+    coords: dict[tuple[int, int], int] = {}
+    while residual:
+        a, c = max(residual)
+        if a < c:
+            raise ValueError("not symmetric in s and t")
+        coeff = coords[(c, a - c)] = residual[(a, c)]
+        # subtract coeff * sum_k C(m, k) s^(a-k) t^(c+k), C(m, k) by running ratios
+        m = a - c
+        for k in range(m + 1):
+            key = (a - k, c + k)
+            left = residual.get(key, 0) - coeff
+            if left:
+                residual[key] = left
+            else:
+                del residual[key]
+            coeff = coeff * (m - k) // (k + 1)
+    return coords
 
 
-def gessel_gamma(n: int):
-    """Expand two_var_poly(n) in the gamma basis, or report Indeterminate.
+def gessel_gamma(n: int) -> GesselGamma:
+    """Expand two_var_poly(n) in the gamma basis, one gamma_decompose per
+    power of s + t; a grid outside the basis raises InvariantError.
 
     >>> gessel_gamma(2).as_dict()
     {(0, 1): 1}
     """
-    poly = two_var_poly(n).as_dict()
-    index = basis_index(n)
-    elements = [basis_element(n, i, j) for i, j in index]
-    monomials = sorted(set().union(poly.keys(), *[e.keys() for e in elements]))
-    rows = [[e.get(mono, 0) for e in elements] for mono in monomials]
-    rhs = [poly.get(mono, 0) for mono in monomials]
-    rank, consistent, solution = _solve_exact(rows, rhs)
-    if solution is None:
-        return Indeterminate(n, rank, len(index), consistent)
-    numerators, denominator = solution
-    quotients = [divmod(x, denominator) for x in numerators]
-    if any(rest for _, rest in quotients):
-        raise InvariantError(f"the gamma expansion of n = {n} has a non-integer coefficient")
-    gammas = tuple(
-        (ij, q) for ij, (q, _) in zip(index, quotients) if q != 0
-    )
-    return GesselGamma(n, gammas, rank)
+    grid = two_var_poly(n).as_dict()
+    gammas = []
+    try:
+        rows: dict[int, dict[int, int]] = {}
+        for (b, m), coeff in _symmetric_coordinates(grid).items():
+            rows.setdefault(m, {})[b] = coeff
+        for m, row in rows.items():
+            vec = gamma_decompose(
+                IntPolynomial(row.get(b, 0) for b in range(max(row) + 1)), n - 1 - m)
+            gammas += [((i, vec.darga - 2 * i), g) for i, g in vec.items() if g]
+    except ValueError as exc:
+        raise InvariantError(
+            f"the (ides, des) grid of n = {n} is outside the gamma basis: {exc}") from exc
+    return GesselGamma(n, tuple(sorted(gammas)))

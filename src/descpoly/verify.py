@@ -57,7 +57,7 @@ D7_CIRCULATED_T2 = 382
 # The n at which each search case of the bijection first appears.
 CASE_FIRST_SEEN = {"I": 3, "1": 3, "II": 5, "V": 5, "2": 5, "3": 5, "5": 5,
                    "III": 6, "VI": 7, "4": 7, "6": 7, "IV": 8}
-# Depths of the conjectures suite's Sturm counts and Gessel solves.
+# Depths of the conjectures suite's Sturm counts and Gessel expansions.
 ROOTS_MAX_N = 12
 GESSEL_MAX_N = 7
 PHI_TABLE = {
@@ -364,7 +364,7 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
 
     Everything here is evidence at the stated ranges, not proof.
     """
-    from .gessel import GesselGamma, gessel_gamma, two_var_poly
+    from .gessel import gessel_gamma, two_var_poly
     from .polynomials import is_palindromic, is_unimodal
     from .realroots import is_real_rooted
 
@@ -398,18 +398,12 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
                      and is_real_rooted(families.derangement_poly(n)))
     for n in range(2, GESSEL_MAX_N + 1):
         g = gessel_gamma(n)
-        if isinstance(g, GesselGamma):
-            s.check_true(f"conjectures.gessel.{n}",
-                         f"two-variable gamma grid nonnegative and dominating (evidence), n={n}",
-                         g.is_nonnegative() and g.dominates_separable_gamma())
-            s.check_true(f"conjectures.gessel-symmetry.{n}",
-                         f"joint statistic polynomial symmetric, n={n}",
-                         two_var_poly(n).is_symmetric())
-        else:
-            # An indeterminate system is an accepted outcome; report rank.
-            s.check_true(f"conjectures.gessel.{n}",
-                         f"gamma expansion indeterminate: rank {g.rank} of {g.unknowns}",
-                         True)
+        s.check_true(f"conjectures.gessel.{n}",
+                     f"two-variable gamma grid nonnegative and dominating (evidence), n={n}",
+                     g.is_nonnegative() and g.dominates_separable_gamma())
+        s.check_true(f"conjectures.gessel-symmetry.{n}",
+                     f"joint statistic polynomial symmetric, n={n}",
+                     two_var_poly(n).is_symmetric())
     return s.report
 
 

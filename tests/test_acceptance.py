@@ -27,7 +27,7 @@ from descpoly.families import (
     spiral_report,
     verify_series_identity,
 )
-from descpoly.gessel import GesselGamma, Indeterminate, gessel_gamma
+from descpoly.gessel import GesselGamma, gessel_gamma
 from descpoly.permutations import all_permutations, separable_permutations
 from descpoly.polynomials import is_palindromic, is_unimodal
 from descpoly.realroots import is_real_rooted
@@ -170,12 +170,7 @@ def test_criterion_6_conjecture_evidence():
         assert is_real_rooted(derangement_poly(n))
     for n in range(2, 8):
         g = gessel_gamma(n)
-        if isinstance(g, Indeterminate):
-            # rank-deficient expansion is an accepted outcome by contract,
-            # provided rank data is reported
-            assert g.rank >= 0 and g.unknowns > g.rank
-        else:
-            assert isinstance(g, GesselGamma)
-            assert g.is_nonnegative()
-            assert g.dominates_separable_gamma()
+        assert isinstance(g, GesselGamma)
+        assert g.is_nonnegative()
+        assert g.dominates_separable_gamma()
     _report("6 (conjecture evidence)", started)

@@ -1,22 +1,49 @@
 """Two-variable descent statistics and the joint gamma expansion."""
 
-from fractions import Fraction
+import hashlib
+import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import descpoly.gessel as gessel
 from descpoly.bijection import InvariantError
-from descpoly.families import separable_gamma
+from descpoly.cli import main
+from descpoly.families import BRUTE_FORCE_CAP, separable_gamma
 from descpoly.gessel import (
+    BivariatePolynomial,
     GesselGamma,
-    Indeterminate,
-    _solve_exact,
-    basis_element,
-    basis_index,
+    _symmetric_coordinates,
     gessel_gamma,
     two_var_poly,
 )
+
+
+# The basis as coefficient grids, by repeated multiplication: the reference
+# route that the expansions are checked against.
+def _mul(a, b):
+    out = {}
+    for (i, j), u in a.items():
+        for (k, l), v in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _power(base, n):
+    result = {(0, 0): 1}
+    for _ in range(n):
+        result = _mul(result, base)
+    return result
+
+
+def basis_element(n, i, j):
+    """(st)^i (1+st)^j (s+t)^(n-1-j-2i) as a coefficient grid."""
+    st_, one_plus_st, s_plus_t = {(1, 1): 1}, {(0, 0): 1, (1, 1): 1}, {(1, 0): 1, (0, 1): 1}
+    return _mul(_power(st_, i),
+                _mul(_power(one_plus_st, j), _power(s_plus_t, n - 1 - j - 2 * i)))
 
 
 def test_two_var_small_by_hand():
@@ -27,8 +54,6 @@ def test_two_var_small_by_hand():
 
 
 def test_two_var_symmetry_and_totals():
-    import math
-
     for n in range(1, 8):
         poly = two_var_poly(n)
         assert poly.is_symmetric()
@@ -37,11 +62,6 @@ def test_two_var_symmetry_and_totals():
         from descpoly.families import eulerian_poly
         collapsed = poly.substitute_s(1)
         assert all(eulerian_poly(n)[k] == v for k, v in collapsed.items())
-
-
-def test_basis_index_count():
-    assert basis_index(2) == [(0, 0), (0, 1)]
-    assert len(basis_index(7)) == 16
 
 
 def test_basis_element_small():
@@ -64,7 +84,7 @@ def test_two_var_poly_is_memoized():
 
 
 def test_gamma_expansion_reconstructs():
-    for n in range(2, 7):
+    for n in range(2, BRUTE_FORCE_CAP + 1):
         g = gessel_gamma(n)
         assert isinstance(g, GesselGamma)
         total: dict = {}
@@ -76,11 +96,9 @@ def test_gamma_expansion_reconstructs():
 
 
 def test_nonnegative_and_dominates_edge():
-    for n in range(2, 8):
+    for n in range(2, BRUTE_FORCE_CAP + 1):
         g = gessel_gamma(n)
-        if isinstance(g, Indeterminate):
-            # accepted outcome, but the solver is unique through n = 7
-            raise AssertionError(f"unexpected rank deficiency at n={n}: {g}")
+        assert isinstance(g, GesselGamma)
         assert g.is_nonnegative()
         assert g.dominates_separable_gamma()
         gv = separable_gamma(n)
@@ -88,83 +106,69 @@ def test_nonnegative_and_dominates_edge():
             assert g.edge_coefficient(k) >= gv[k]
 
 
-def test_rank_reported():
-    g = gessel_gamma(5)
-    assert g.rank == len(basis_index(5))
-
-
-def _fraction_solve(rows, rhs):
-    """Gauss-Jordan elimination over Q with unit pivots: the reference for
-    the fraction-free solve, as (rank, consistent, solution or None)."""
-    m, cols = len(rows), len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    rank, pivots = 0, []
-    for col in range(cols):
-        pivot = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    consistent = all(row[cols] == 0 for row in a[rank:])
-    if not consistent or rank < cols:
-        return rank, consistent, None
-    solution = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        solution[col] = a[r][cols]
-    return rank, True, solution
-
-
 @st.composite
-def linear_systems(draw):
-    """m x cols systems of rank at most r, as a product of an m x r and an
-    r x cols matrix; the right side is in the column space or drawn freely."""
-    m, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    r = draw(st.integers(0, min(m, cols)))
-    entries = st.integers(-4, 4)
-    left = [[draw(entries) for _ in range(r)] for _ in range(m)]
-    right = [[draw(entries) for _ in range(cols)] for _ in range(r)]
-    rows = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(cols)]
-            for i in range(m)]
-    if draw(st.booleans()):
-        x = [draw(entries) for _ in range(cols)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    else:
-        rhs = [draw(entries) for _ in range(m)]
-    return rows, rhs
+def symmetric_combinations(draw):
+    """{(b, m): c} with b <= 4, m <= 6, and its grid sum c (st)^b (s+t)^m,
+    expanded with math.comb."""
+    coords = draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 6)),
+        st.integers(-50, 50).filter(bool), max_size=8))
+    grid = {}
+    for (b, m), c in coords.items():
+        for k in range(m + 1):
+            key = (b + m - k, b + k)
+            grid[key] = grid.get(key, 0) + c * math.comb(m, k)
+    return coords, grid
 
 
-@settings(max_examples=150, deadline=None)
-@given(linear_systems())
-@example(([[1, 2], [2, 4]], [1, 3]))            # rank 1, inconsistent
-@example(([[1, 2], [2, 4]], [1, 2]))            # rank 1, a line of solutions
-@example(([[0, 2], [3, 1], [1, 1]], [2, 4, 2]))  # overdetermined, unique
-def test_fraction_free_solve_matches_rational_elimination(system):
-    rows, rhs = system
-    rank, consistent, solution = _solve_exact(rows, rhs)
-    ref_rank, ref_consistent, ref_solution = _fraction_solve(rows, rhs)
-    assert (rank, consistent) == (ref_rank, ref_consistent)
-    if ref_solution is None:
-        assert solution is None
-    else:
-        numerators, denominator = solution
-        assert denominator != 0
-        assert [Fraction(x, denominator) for x in numerators] == ref_solution
+@settings(max_examples=200, deadline=None)
+@given(symmetric_combinations())
+@example(({}, {}))
+@example(({(0, 2): 1, (1, 0): -2}, {(2, 0): 1, (0, 2): 1}))   # s^2 + t^2
+def test_symmetric_coordinates_recover_the_combination(case):
+    coords, grid = case
+    assert _symmetric_coordinates(grid) == coords
 
 
-def test_rank_deficient_and_non_integer_verdicts(monkeypatch):
-    unknowns = len(basis_index(4))
-    monkeypatch.setattr(gessel, "_solve_exact", lambda rows, rhs: (3, True, None))
-    assert gessel_gamma(4) == Indeterminate(4, 3, unknowns, True)
-    assert gessel_gamma(4).solution_space_dim == unknowns - 3
-    monkeypatch.setattr(gessel, "_solve_exact", lambda rows, rhs: (4, False, None))
-    assert gessel_gamma(4).solution_space_dim is None
-    monkeypatch.setattr(gessel, "_solve_exact",
-                        lambda rows, rhs: (unknowns, True, ([2] * (unknowns - 1) + [3], -2)))
-    with pytest.raises(InvariantError, match="non-integer"):
-        gessel_gamma(4)
+def _s_plus_t_power(n):
+    return {(n - k, k): math.comb(n, k) for k in range(n + 1)}
+
+
+# Grids, as functions of n, that no gamma expansion of order n reaches.
+OUTSIDE_THE_BASIS = {
+    "not-symmetric": lambda n: {(0, 0): 1, (1, 0): 1},
+    "unequal-mirror-images": lambda n: {(2, 1): 3, (1, 2): 2},
+    "s-plus-t-to-the-n": _s_plus_t_power,
+    "st-to-the-n": lambda n: {(0, 0): 1, (n, n): 1},
+    "non-palindromic-row": lambda n: {(0, 0): 1, (1, 1): 1},
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", OUTSIDE_THE_BASIS)
+def test_grid_outside_the_basis_raises_invariant_error(kind, n, monkeypatch):
+    make = OUTSIDE_THE_BASIS[kind]
+    monkeypatch.setattr(gessel, "two_var_poly", lambda m: BivariatePolynomial(make(m)))
+    with pytest.raises(InvariantError, match=rf"n = {n} is outside the gamma basis"):
+        gessel_gamma(n)
+
+
+@pytest.mark.parametrize("kind", ["not-symmetric", "s-plus-t-to-the-n", "st-to-the-n"])
+def test_cli_conjectures_on_a_grid_outside_the_basis_exits_1(kind, monkeypatch, capsys):
+    make = OUTSIDE_THE_BASIS[kind]
+    monkeypatch.setattr(gessel, "two_var_poly", lambda m: BivariatePolynomial(make(m)))
+    assert main(["verify", "conjectures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the (ides, des) grid of n = 2 ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_default_conjectures_report_is_pinned():
+    result = subprocess.run(
+        [sys.executable, "-m", "descpoly", "--format", "json", "verify", "conjectures"],
+        capture_output=True,
+    )
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "63f84353c8004e4c5aea78d7adfe8d3840386422457dcfb9b520a5c78f9f95d2")

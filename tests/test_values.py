@@ -20,7 +20,7 @@ from descpoly.bijection import (
     classify,
 )
 from descpoly.families import spiral_report
-from descpoly.gessel import BivariatePolynomial, GesselGamma, Indeterminate, gessel_gamma
+from descpoly.gessel import BivariatePolynomial, GesselGamma, gessel_gamma
 from descpoly.permutations import Permutation
 from descpoly.polynomials import GammaVector, IntPolynomial, gamma_decompose
 from descpoly.rcindex import RCIndex
@@ -54,8 +54,8 @@ VALUES = [
      "BivariatePolynomial(coeffs=(((0, 0), 1), ((1, 1), 1)))",
      {"coeffs": (((0, 0), 1), ((1, 1), 1))}),
     ("GesselGamma", lambda: gessel_gamma(3),
-     "GesselGamma(n=3, gammas=(((0, 2), 1), ((1, 0), 2)), rank=4)",
-     {"n": 3, "gammas": (((0, 2), 1), ((1, 0), 2)), "rank": 4}),
+     "GesselGamma(n=3, gammas=(((0, 2), 1), ((1, 0), 2)))",
+     {"n": 3, "gammas": (((0, 2), 1), ((1, 0), 2))}),
     ("RCIndex", lambda: RCIndex(3, {(2,): 1, (1, 1): 1}),
      "RCIndex(n=3, terms=(((1, 1), 1), ((2,), 1)))",
      {"n": 3, "terms": (((1, 1), 1), ((2,), 1))}),
@@ -95,9 +95,6 @@ RECORDS = [
     ("SpiralReport", lambda: spiral_report(4),
      f"SpiralReport(n=4, family='derangement', checks=({CHECK_1}, {CHECK_2}), "
      "equalities=('d(4,1) = d(4,2) = 4',))", None),
-    ("Indeterminate", lambda: Indeterminate(4, 3, 5, True),
-     "Indeterminate(n=4, rank=3, unknowns=5, consistent=True)",
-     {"n": 4, "rank": 3, "unknowns": 5, "consistent": True}),
     ("CheckRecord", lambda: CheckRecord("tables.S.1", "S_1", "pass", "(1,)", "(1,)"),
      "CheckRecord(id='tables.S.1', subject='S_1', status='pass', expected='(1,)', "
      "actual='(1,)')",
@@ -152,12 +149,12 @@ def test_fields_by_position_or_keyword():
     vec = gamma_decompose(IntPolynomial((1, 4, 1)), 2)
     assert GammaVector(darga=2, start=0, gammas=(1, 2)) == vec
     assert GammaVector(2, 0, gammas=(1, 2)) == vec
-    assert GesselGamma(gammas=(((0, 2), 1), ((1, 0), 2)), rank=4, n=3) == gessel_gamma(3)
+    assert GesselGamma(gammas=(((0, 2), 1), ((1, 0), 2)), n=3) == gessel_gamma(3)
     assert TreeShape(structure=None) == TreeShape(None)
     for wrong in (lambda: GammaVector(2, 0), lambda: GammaVector(2, 0, (1,), 4),
                   lambda: GammaVector(2, 0, (1,), darga=2),
                   lambda: GammaVector(2, 0, (1,), other=1),
-                  lambda: GesselGamma(n=3, rank=4), lambda: TreeShape()):
+                  lambda: GesselGamma(n=3), lambda: TreeShape()):
         with pytest.raises(TypeError):
             wrong()
 

@@ -380,7 +380,7 @@ def test_cli_entry_point_subprocess():
 
 def test_conjectures_suite_same_under_python_O():
     # -O strips assert statements; no suite may depend on any: the pinned
-    # tables, the identities, the Sturm counts and the Gessel solve of the
+    # tables, the identities, the Sturm counts and the Gessel expansions of the
     # conjectures suite, and the searches and maps of the bijection suite
     # with every invariant check they make.
     for suite in (["tables"], ["identities", "--max-n", "6"], ["conjectures"],
