@@ -124,6 +124,12 @@ def test_poly_loads_no_enumeration_module():
                                                      "polynomials", "value"}
 
 
+def test_rc_index_loads_no_tree_module():
+    # the index comes from the chain grammar, not from a walk over shapes
+    assert loaded_by_command("rc-index", "5") == {"cli", "errors", "polynomials", "rcindex",
+                                                  "value"}
+
+
 # The modules each verify suite loads: the suite's own, imported when it
 # runs, on top of cli, verify, families and what families imports.
 SUITE_MODULES = {

@@ -1,9 +1,18 @@
 """The rc-index: listings, evaluations, substitution, gamma via shapes."""
 
+from collections import Counter
+
 import pytest
 
-from descpoly.families import catalan, separable_gamma, separable_poly
-from descpoly.rcindex import format_monomial, gamma_from_shapes, rc_index
+from descpoly.families import catalan, schroder_number, separable_gamma, separable_poly
+from descpoly.polynomials import IntPolynomial
+from descpoly.rcindex import (
+    RCIndex,
+    format_monomial,
+    gamma_from_shapes,
+    monomial_of_shape,
+    rc_index,
+)
 from descpoly.trees import enumerate_shapes, perm_to_tree
 from descpoly.permutations import parse_permutation
 
@@ -117,3 +126,49 @@ def test_gamma_from_shapes_equals_a_count_over_labelings():
                 if all(c.starts_with == "+" for c in chains if c.is_odd):
                     counts[tree.n_minus()] += 1
         assert [gamma_from_shapes(n, k) for k in range(len(counts))] == counts, n
+
+
+def test_grammar_equals_the_shape_walk():
+    # The walk the grammar replaced: every shape's chain lengths, counted.
+    for n in range(1, 12):
+        walk = Counter(monomial_of_shape(s) for s in enumerate_shapes(n))
+        assert rc_index(n).as_dict() == walk, n
+
+
+def test_order_eighteen_at_the_cap():
+    idx = rc_index(18)
+    assert idx.distinct_terms() == 2 ** 16
+    assert idx.evaluate(1) == catalan(17)
+    assert idx.evaluate(2) == schroder_number(18)
+    assert idx.substitute_ab() == separable_poly(18)
+
+
+def test_gamma_from_shapes_to_order_sixty():
+    for n in range(1, 61):
+        gv = separable_gamma(n)
+        assert [gamma_from_shapes(n, k) for k in range((n - 1) // 2 + 1)] == list(gv.gammas), n
+
+
+def _substitute_per_factor(idx):
+    """One polynomial product per factor of every term."""
+    total = IntPolynomial.zero()
+    for factors, mult in idx.terms:
+        prod = IntPolynomial.one()
+        for l in factors:
+            if l % 2 == 0:
+                prod = prod * IntPolynomial.monomial(l // 2, 2)
+            else:
+                prod = prod * IntPolynomial((1, 1)).shift((l - 1) // 2)
+        total = total + prod * mult
+    return total
+
+
+def test_grouped_substitution_equals_the_per_factor_product():
+    for n in range(1, 13):
+        idx = rc_index(n)
+        assert idx.substitute_ab() == _substitute_per_factor(idx), n
+    # Terms that are no order's compositions, a zero factor, cancelling ones.
+    for terms in ({(2, 3): 3, (5,): -1, (1, 1): 4, (4, 4, 1): 2, (3, 2): 1},
+                  {(2,): 1, (1, 1): -1, (1, 1, 0): 1}, {}):
+        idx = RCIndex(6, terms)
+        assert idx.substitute_ab() == _substitute_per_factor(idx), terms

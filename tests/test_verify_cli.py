@@ -12,7 +12,12 @@ import sys
 import pytest
 
 from descpoly.cli import main
-from descpoly.families import derangement_count, derangement_poly, separable_poly
+from descpoly.families import (
+    derangement_count,
+    derangement_poly,
+    schroder_number,
+    separable_poly,
+)
 from descpoly.polynomials import IntPolynomial
 from descpoly.verify import (
     CASE_FIRST_SEEN,
@@ -249,7 +254,7 @@ def test_cli_poly_resource_cap(capsys):
     ["poly", "S", "9", "--method", "enum"],
     ["poly", "Gamma", "9", "--method", "enum"],
     ["gamma", "N", "12"],
-    ["rc-index", "15"],
+    ["rc-index", "19"],
 ])
 def test_cli_every_resource_cap_exits_3(argv, capsys):
     assert main(argv) == 3
@@ -308,6 +313,12 @@ def test_cli_rc_index(capsys):
     assert capsys.readouterr().out.strip() == "22"
     assert main(["rc-index", "4", "--ab"]) == 0
     assert capsys.readouterr().out.strip() == "1+10t+10t^2+t^3"
+
+
+def test_cli_rc_index_at_its_cap(capsys):
+    # one past it, rc-index 19, exits 3 in test_cli_every_resource_cap_exits_3
+    assert main(["rc-index", "18", "--eval", "2"]) == 0
+    assert capsys.readouterr().out == f"{schroder_number(18)}\n"
 
 
 def test_cli_bij(tmp_path, capsys):
