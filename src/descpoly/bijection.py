@@ -30,14 +30,12 @@ Every post-condition and case-analysis claim is checked with an explicit
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 from .nested import MINUS, PLUS, rebuild
 from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
-
-ADJOINT_CASES = ("I", "II", "III", "IV", "V", "VI")
-REPAIR_CASES = (1, 2, 3, 4, 5, 6)
 
 
 class FamilyError(ValueError):
@@ -469,7 +467,7 @@ def bijection_certificate(n: int, k: int) -> dict:
     each member's own plan once.
     """
     dt1 = dt2 = returned = 0
-    histogram: dict[str, int] = {}
+    histogram: Counter[str] = Counter()
     for t in enumerate_trees(n, n_minus=k):
         m = classify(t, k)
         dt1 += m.in_dt1
@@ -479,8 +477,7 @@ def bijection_certificate(n: int, k: int) -> dict:
         image = t
         for planner, to_family_one in ((psi_plan, True), (phi_plan, False)):
             ops = planner(image)
-            for op in ops:
-                histogram[op.case] = histogram.get(op.case, 0) + 1
+            histogram.update(op.case for op in ops)
             image = _apply_checked(image, ops, k, to_family_one)
         returned += image == t
     return {

@@ -21,6 +21,11 @@ prints one ``error:`` line on stderr and nothing on stdout.  Any other
 exception of a subcommand exits 1 with the one line ``error: internal
 error: <type>: <message>`` on stderr and no traceback.
 
+A command lifts CPython's limit on the digits of an int <-> str
+conversion while it runs (``sys.set_int_max_str_digits(0)``, where the
+interpreter has it), so members such as ``poly D 2000`` print and cache
+in full; the library modules keep the caller's setting.
+
 Each subcommand imports the modules it uses when it runs, so ``--help``
 loads no computational module and ``sweep`` loads only ``nested``,
 ``permutations``, ``words`` and ``value``.  ``verify`` loads ``verify``,
@@ -265,6 +270,11 @@ def main(argv=None) -> int:
         "bij": _cmd_bij,
         "verify": _cmd_verify,
     }
+    # D_n and A_n pass CPython's 4300-digit cap on int <-> str from about
+    # n = 1600 on, in the output and the cache alike.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
     # Every error of a subcommand ends in an exit code and one line.
@@ -272,6 +282,9 @@ def main(argv=None) -> int:
         code, message = _failure(exc)
         print(f"error: {message}", file=sys.stderr)
         return code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:

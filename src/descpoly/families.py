@@ -37,12 +37,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import ResourceCapError
-from .polynomials import GammaVector, IntPolynomial, binomial, gamma_decompose, is_palindromic
+from .polynomials import GammaVector, IntPolynomial, gamma_decompose, is_palindromic
 
 # Largest n that the enumeration oracles run at.
 BRUTE_FORCE_CAP = 8
@@ -57,7 +58,7 @@ def _check_cap(n: int) -> None:
 
 
 def catalan(n: int) -> int:
-    return binomial(2 * n, n) // (n + 1)
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def derangement_count(n: int) -> int:
@@ -81,12 +82,8 @@ def schroder_number(n: int) -> int:
 
 def _histogram(exponents) -> IntPolynomial:
     """The polynomial whose coefficient k counts the k's in ``exponents``."""
-    coeffs: list[int] = []
-    for k in exponents:
-        if k >= len(coeffs):
-            coeffs.extend([0] * (k - len(coeffs) + 1))
-        coeffs[k] += 1
-    return IntPolynomial(coeffs)
+    tally = Counter(exponents)
+    return IntPolynomial(tally[k] for k in range(max(tally, default=-1) + 1))
 
 
 def _descent_histogram(n: int, keep=None, stat=lambda p: p.des()) -> IntPolynomial:
@@ -440,7 +437,7 @@ def complement_spiral_report(n: int) -> SpiralReport:
 
 def power_tail(r: int, n: int) -> int:
     """T_r(n) = sum_{k=0}^{min(n,r)} (-1)^k C(r, k) r^(n-k)."""
-    return sum((-1) ** k * binomial(r, k) * r ** (n - k) for k in range(min(n, r) + 1))
+    return sum((-1) ** k * math.comb(r, k) * r ** (n - k) for k in range(min(n, r) + 1))
 
 
 def verify_series_identity(n: int, order: int) -> bool:
@@ -454,7 +451,7 @@ def verify_series_identity(n: int, order: int) -> bool:
     """
     if n < 2 or order < 1:
         raise ValueError("need n >= 2 and order >= 1")
-    binom_series = IntPolynomial(tuple(binomial(n + j, n) for j in range(order + 1)))
+    binom_series = IntPolynomial(math.comb(n + j, n) for j in range(order + 1))
     lhs = (derangement_poly(n) * binom_series).truncate(order)
     rhs = IntPolynomial.zero()
     for r in range(1, order + 2):

@@ -20,6 +20,7 @@ separable gamma coefficients along the edge j = n - 1 - 2i is evidence.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .errors import InvariantError
@@ -68,11 +69,7 @@ def two_var_poly(n: int) -> BivariatePolynomial:
     {(0, 0): 1, (1, 1): 1}
     """
     _check_cap(n)
-    grid: Grid = {}
-    for p in all_permutations(n):
-        key = (p.ides(), p.des())
-        grid[key] = grid.get(key, 0) + 1
-    return BivariatePolynomial(grid)
+    return BivariatePolynomial(Counter((p.ides(), p.des()) for p in all_permutations(n)))
 
 
 class GesselGamma(Value):

@@ -287,13 +287,3 @@ def gamma_decompose(p: IntPolynomial, darga: int) -> GammaVector:
     while gammas and gammas[-1] == 0:
         gammas.pop()
     return GammaVector(darga, r, tuple(gammas))
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient, zero outside the usual range."""
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    for i in range(min(k, n - k)):
-        result = result * (n - i) // (i + 1)
-    return result

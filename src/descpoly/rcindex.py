@@ -37,7 +37,9 @@ for every n in polynomial time.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 from typing import Mapping, Union
 
 from .errors import ResourceCapError
@@ -61,18 +63,8 @@ def format_monomial(factors: NCMonomial) -> str:
     """Run-length rendering: (1, 1, 1) -> 'c_1^3', (2, 1) -> 'c_2c_1'."""
     if not factors:
         return "1"
-    parts = []
-    run_val, run_len = factors[0], 1
-    for v in factors[1:]:
-        if v == run_val:
-            run_len += 1
-        else:
-            parts.append((run_val, run_len))
-            run_val, run_len = v, 1
-    parts.append((run_val, run_len))
-    return "".join(
-        f"c_{v}" + (f"^{m}" if m > 1 else "") for v, m in parts
-    )
+    runs = ((v, len(list(run))) for v, run in groupby(factors))
+    return "".join(f"c_{v}" + (f"^{m}" if m > 1 else "") for v, m in runs)
 
 
 class RCIndex(Value):
@@ -124,11 +116,10 @@ class RCIndex(Value):
         A term's image is (1+t)^odd 2^even t^shift, with shift the sum of
         l // 2, so the terms are summed per (odd, even, shift) first.
         """
-        groups: dict[tuple[int, int, int], int] = {}
+        groups: Counter[tuple[int, int, int]] = Counter()
         for factors, mult in self.terms:
             odd = sum(l % 2 for l in factors)
-            key = (odd, len(factors) - odd, sum(l // 2 for l in factors))
-            groups[key] = groups.get(key, 0) + mult
+            groups[odd, len(factors) - odd, sum(l // 2 for l in factors)] += mult
         one_plus_t = IntPolynomial((1, 1))
         total = IntPolynomial.zero()
         for (odd, even, shift), mult in groups.items():

@@ -21,6 +21,7 @@ and ``realroots``.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 from . import families
@@ -113,10 +114,8 @@ class VerificationReport(Value):
         return all(r.status != FAIL for r in self.records)
 
     def counts(self) -> dict[str, int]:
-        out = {PASS: 0, FAIL: 0, DISCREPANCY: 0}
-        for r in self.records:
-            out[r.status] += 1
-        return out
+        tally = Counter(r.status for r in self.records)
+        return {status: tally[status] for status in (PASS, FAIL, DISCREPANCY)}
 
     def sorted_records(self) -> list[CheckRecord]:
         return sorted(self.records, key=lambda r: r.id)

@@ -7,7 +7,6 @@ from descpoly.polynomials import (
     GammaVector,
     IntPolynomial,
     NotPalindromicError,
-    binomial,
     format_poly,
     gamma_decompose,
     is_palindromic,
@@ -113,7 +112,3 @@ def test_gamma_roundtrip_from_vector(start, gammas):
 def test_gamma_zero_polynomial():
     v = gamma_decompose(IntPolynomial(()), 5)
     assert v.gammas == () and v.to_polynomial().is_zero()
-
-
-def test_binomial():
-    assert [binomial(5, k) for k in range(-1, 7)] == [0, 1, 5, 10, 10, 5, 1, 0]

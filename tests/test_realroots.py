@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from descpoly.families import derangement_poly, separable_poly
+from descpoly.families import derangement_poly, gamma_poly, separable_poly
 from descpoly.polynomials import IntPolynomial
 from descpoly.realroots import is_real_rooted, real_root_count
 
@@ -79,3 +79,19 @@ def test_descent_polynomials_real_rooted_evidence():
     for n in range(2, 41):
         assert is_real_rooted(separable_poly(n)), n
         assert is_real_rooted(derangement_poly(n)), n
+
+
+def test_separable_real_rootedness_through_gamma():
+    """S_n(t) = sum gamma_k t^k (1+t)^(n-1-2k) with every gamma_k >= 0 is
+    real-rooted exactly when Gamma_n(x) = sum gamma_k x^k is: a root x < 0
+    of Gamma_n gives the real factor t - x(1+t)^2, and the negative roots
+    of S_n pair off as (r, 1/r), each pair with x = r/(1+r)^2.  Gamma_n has
+    half the degree, so its Sturm chain reaches n = 70 cheaply."""
+    verdicts = {}
+    for n in range(2, 71):
+        gamma = gamma_poly(n)
+        assert all(c > 0 for c in gamma.coeffs), n
+        verdicts[n] = is_real_rooted(gamma)
+        assert verdicts[n], n
+    for n in range(2, 41):
+        assert verdicts[n] == is_real_rooted(separable_poly(n)), n

@@ -283,6 +283,44 @@ def test_cli_poly_at_n_600_in_a_fresh_interpreter(family):
                      "Dtilde": math.factorial(600) - derangements}[family]
 
 
+def _cli_at_640_digits(*argv):
+    """``python -m descpoly`` under a 640-digit cap on int <-> str."""
+    return subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "descpoly", *argv],
+        capture_output=True, text=True,
+    )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int <-> str digit limit")
+def test_cli_prints_and_caches_past_the_digit_limit(tmp_path):
+    """400! has 869 digits: the command lifts the cap for its own process,
+    and the library modules, or ``main`` called from Python, leave it."""
+    result = _cli_at_640_digits("poly", "D", "400")
+    assert result.returncode == 0, result.stderr[-500:]
+    terms = result.stdout.strip().split("+")
+    assert sum(int(term.split("t")[0] or 1) for term in terms) == derangement_count(400)
+
+    cache = tmp_path / "cache"
+    first = _cli_at_640_digits("--cache-dir", str(cache), "poly", "A", "400")
+    assert first.returncode == 0, first.stderr[-500:]
+    entry = cache / "A_400.json"
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    written = entry.stat().st_mtime_ns
+    second = _cli_at_640_digits("--cache-dir", str(cache), "poly", "A", "400")
+    assert (second.returncode, second.stdout) == (0, first.stdout)
+    assert entry.stat().st_mtime_ns == written  # a hit, not a rewrite
+
+    probe = ("import sys, descpoly.families\n"
+             "from descpoly.cli import main\n"
+             "before = sys.get_int_max_str_digits()\n"
+             "main(['poly', 'D', '3'])\n"
+             "print(before, sys.get_int_max_str_digits(), file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-c", probe],
+                            capture_output=True, text=True)
+    assert result.stderr.split() == ["640", "640"]
+
+
 def test_cli_poly_cache(tmp_path, capsys):
     assert main(["--cache-dir", str(tmp_path), "poly", "A", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1+26t+66t^2+26t^3+t^4"
