@@ -228,29 +228,15 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
     S(t, z) is the generating function sum_n S_n(t) z^n truncated to
     z^order; the residual vanishes termwise in that range.
     """
-    series = [IntPolynomial.zero()] + [separable_poly(n) for n in range(1, order + 1)]
-
-    def mul(a: list[IntPolynomial], b: list[IntPolynomial]) -> list[IntPolynomial]:
-        out = [IntPolynomial.zero() for _ in range(order + 1)]
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j in range(0, order + 1 - i):
-                if not b[j].is_zero():
-                    out[i + j] = out[i + j] + ca * b[j]
-        return out
-
+    zero = IntPolynomial.zero()
+    s1 = [zero] + [separable_poly(n) for n in range(1, order + 1)]
+    s2 = [sum((s1[i] * s1[m - i] for i in range(m + 1)), zero) for m in range(order + 1)]
+    s3 = [sum((s2[i] * s1[m - i] for i in range(m + 1)), zero) for m in range(order + 1)]
     t = IntPolynomial.t()
-    s2 = mul(series, series)
-    s3 = mul(s2, series)
-    residual = [IntPolynomial.zero() for _ in range(order + 1)]
-    residual[1] = residual[1] + IntPolynomial.one()          # z
-    for m in range(order):                                   # (1+t) z S
-        residual[m + 1] = residual[m + 1] + IntPolynomial((1, 1)) * series[m]
-    for m in range(order):                                   # t z S^2
-        residual[m + 1] = residual[m + 1] + t * s2[m]
-    for m in range(order + 1):                               # t S^3 - S
-        residual[m] = residual[m] + t * s3[m] - series[m]
+    residual = [t * s3[m] - s1[m] for m in range(order + 1)]  # t S^3 - S
+    residual[1] = residual[1] + IntPolynomial.one()           # z
+    for m in range(order):                                    # (1+t) z S + t z S^2
+        residual[m + 1] = residual[m + 1] + IntPolynomial((1, 1)) * s1[m] + t * s2[m]
     return residual
 
 

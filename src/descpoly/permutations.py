@@ -152,10 +152,13 @@ class Permutation(Value):
 
 
 def find_pattern(p: Permutation, pattern: Permutation) -> tuple[int, ...] | None:
-    """Positions (1-based, increasing) of one occurrence, or None.
+    """Positions (1-based, increasing) of the lexicographically first
+    occurrence, or None.
 
-    Depth-first search over positions; at each step the next chosen entry
-    must relate to all previously chosen ones the way the pattern dictates.
+    Depth-first search over positions, with the chosen ones on a list, so
+    it does not recurse whatever the pattern's length.  The next chosen
+    entry must relate to all previously chosen ones the way the pattern
+    dictates; when none fits, the last choice moves right.
 
     >>> find_pattern(Permutation((2, 4, 1, 3)), Permutation((2, 4, 1, 3)))
     (1, 2, 3, 4)
@@ -164,32 +167,21 @@ def find_pattern(p: Permutation, pattern: Permutation) -> tuple[int, ...] | None
     """
     w, pat = p.word, pattern.word
     m = len(pat)
-    if m == 0:
-        return ()
-    if m > len(w):
-        return None
     chosen: list[int] = []
-
-    def extend(start: int) -> bool:
+    i = 0
+    while len(chosen) < m:
         j = len(chosen)
-        if j == m:
-            return True
         # Entries still to be placed cannot fit if too few positions remain.
-        for i in range(start, len(w) - (m - j) + 1):
-            v = w[i]
-            ok = all(
-                (v > w[c]) == (pat[j] > pat[jj]) for jj, c in enumerate(chosen)
-            )
-            if ok:
-                chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return tuple(i + 1 for i in chosen)
-    return None
+        if i > len(w) - (m - j):
+            if not chosen:
+                return None
+            i = chosen.pop() + 1
+            continue
+        v = w[i]
+        if all((v > w[c]) == (pat[j] > pat[jj]) for jj, c in enumerate(chosen)):
+            chosen.append(i)
+        i += 1
+    return tuple(c + 1 for c in chosen)
 
 
 def insert_value(p: Permutation, j: int) -> Permutation:

@@ -32,9 +32,10 @@ Grammar for the textual form (whitespace ignored on parse, never emitted):
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
-from .nested import MINUS, PLUS, CheckedTree, Index, Node, sizes
+from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
@@ -106,17 +107,26 @@ def sweep(p: Permutation) -> SchroderWord:
     >>> str(sweep(Permutation((9, 8, 4, 1, 3, 2, 7, 5, 6))))
     '((1-1)-((1-(1+(1-1)))+(1-(1+1))))'
 
-    Raises NotSeparableError (with a witness occurrence) exactly when p
-    contains 2413 or 3142.
+    Raises NotSeparableError exactly when p contains 2413 or 3142.  Its
+    witness is the lexicographically first occurrence of 2413 by
+    positions, else of 3142, found among the leftmost entries of the
+    blocks the pass leaves.  Both patterns are simple and every block is
+    separable, so an occurrence takes at most one entry of any block;
+    moving each of its entries to the leftmost entry of that block keeps
+    the pattern and moves no position right.
     """
     if not p.word:
         raise ValueError("the empty permutation has no Schröder word")
     blocks = separating_pass(p.word, _join)
     if len(blocks) > 1:
+        starts = list(accumulate((len(index(b).nodes) for b in blocks[:-1]), initial=0))
+        firsts = [p.word[s] for s in starts]
+        rank = {v: r for r, v in enumerate(sorted(firsts), 1)}
+        residue = Permutation(rank[v] for v in firsts)
         for pattern in (PATTERN_2413, PATTERN_3142):
-            hit = find_pattern(p, pattern)
+            hit = find_pattern(residue, pattern)
             if hit is not None:
-                raise NotSeparableError(p, pattern, hit)
+                raise NotSeparableError(p, pattern, tuple(starts[i - 1] + 1 for i in hit))
         raise AssertionError(f"sweep stuck on {p} with no forbidden pattern")
     return SchroderWord(blocks[0])
 

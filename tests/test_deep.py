@@ -7,6 +7,7 @@ compared by text or by flat tuples, never with ``==`` on nested roots,
 which recurses in C once per level.
 """
 
+import json
 import random
 import subprocess
 import sys
@@ -169,14 +170,38 @@ def test_random_split_of_1e5():
 
 
 def test_deep_non_separable_input():
-    # 2413 in front, where the witness search finds it at once; the stack
-    # pass still reads all of the comb behind it.
+    # 2413 in front of the comb and behind it.  The stack pass leaves the
+    # comb as one block and each entry of 2413 as its own, and the witness
+    # is searched for among those blocks' leftmost entries.
     values, _ = right_comb(BIG)
-    p = Permutation([2, 4, 1, 3] + [v + 4 for v in values])
-    assert not is_separable(p)
-    with pytest.raises(NotSeparableError) as exc:
-        sweep(p)
-    assert exc.value.pattern.word == (2, 4, 1, 3)
+    front = Permutation([2, 4, 1, 3] + [v + 4 for v in values])
+    last = Permutation(values + [BIG + v for v in (2, 4, 1, 3)])
+    for p, positions in ((front, (1, 2, 3, 4)), (last, tuple(range(BIG + 1, BIG + 5)))):
+        assert not is_separable(p)
+        with pytest.raises(NotSeparableError) as exc:
+            sweep(p)
+        assert exc.value.pattern.word == (2, 4, 1, 3)
+        assert exc.value.positions == positions
+
+
+def test_cli_sweep_of_a_comb_with_the_pattern_last():
+    n = 15000
+    values, _ = right_comb(n)
+    text = " ".join(map(str, values + [n + v for v in (2, 4, 1, 3)]))
+    result = subprocess.run(
+        [sys.executable, "-m", "descpoly", "--format", "json", "sweep", text],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 1, result.stderr
+    report = json.loads(result.stdout)
+    assert report["pattern"] == "2413"
+    assert report["positions"] == [n + 1, n + 2, n + 3, n + 4]
+
+
+def test_a_pattern_as_long_as_the_input():
+    # one chosen position per pattern entry, kept on a list, not the stack
+    word = Permutation(range(1, 1501))
+    assert word.contains_pattern(word)
 
 
 @settings(max_examples=40, deadline=None)

@@ -100,7 +100,9 @@ def test_reverse_involution(p):
     assert is_separable(p) == is_separable(p.reverse())
 
 
-def _naive_contains(p, pattern):
+def _naive_find(p, pattern):
+    """1-based positions of the first occurrence: ``combinations`` yields
+    position sets in lexicographic order."""
     m = len(pattern)
     for positions in itertools.combinations(range(len(p.word)), m):
         values = [p.word[i] for i in positions]
@@ -109,8 +111,8 @@ def _naive_contains(p, pattern):
         for rank, i in enumerate(order, start=1):
             rel[i] = rank
         if tuple(rel) == pattern.word:
-            return True
-    return False
+            return tuple(i + 1 for i in positions)
+    return None
 
 
 def test_pattern_examples():
@@ -128,13 +130,17 @@ def test_pattern_against_naive_oracle_exhaustive():
     for n in range(1, 7):
         for p in all_permutations(n):
             for pat in patterns:
-                assert p.contains_pattern(pat) == _naive_contains(p, pat)
+                hit = find_pattern(p, pat)
+                assert hit == _naive_find(p, pat)
+                assert p.contains_pattern(pat) == (hit is not None)
 
 
 @given(perms, st.sampled_from([(2, 4, 1, 3), (3, 1, 4, 2), (1, 2, 3), (3, 2, 1), (2, 1, 4, 3)]))
 def test_pattern_against_naive_oracle_random(p, pat_word):
     pat = Permutation(pat_word)
-    assert p.contains_pattern(pat) == _naive_contains(p, pat)
+    hit = find_pattern(p, pat)
+    assert hit == _naive_find(p, pat)
+    assert p.contains_pattern(pat) == (hit is not None)
 
 
 def test_pattern_witness_positions_are_an_occurrence():

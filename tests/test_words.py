@@ -10,6 +10,7 @@ from descpoly.permutations import (
     PATTERN_3142,
     Permutation,
     all_permutations,
+    find_pattern,
     is_separable,
     parse_permutation,
     separable_permutations,
@@ -156,17 +157,34 @@ def test_enumeration_descent_histogram_n4():
     assert [hist[k] for k in range(4)] == [1, 10, 10, 1]
 
 
+def _whole_input_witness(p):
+    """The first 2413, else 3142, searched for over every entry."""
+    for pattern in (PATTERN_2413, PATTERN_3142):
+        hit = find_pattern(p, pattern)
+        if hit is not None:
+            return pattern, hit
+    return None
+
+
+def _sweep_witness(p):
+    try:
+        sweep(p)
+    except NotSeparableError as exc:
+        return exc.pattern, exc.positions
+    return None
+
+
 def test_sweep_agrees_with_pattern_avoidance_exhaustive():
     # is_separable runs the same stack pass as sweep, so the independent
-    # reference is the pattern search.
+    # reference is the pattern search over the whole input; sweep fails
+    # exactly when it finds a pattern, and with the same witness.
+    failures = 0
     for n in range(1, 9):
         for p in all_permutations(n):
-            try:
-                sweep(p)
-                swept = True
-            except NotSeparableError:
-                swept = False
-            assert swept == p.avoids(PATTERN_2413, PATTERN_3142)
+            expected = _whole_input_witness(p)
+            assert _sweep_witness(p) == expected
+            failures += expected is not None
+    assert failures == 2 + 30 + 326 + 3234 + 31762   # n! minus Schröder numbers
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,3 +192,10 @@ def test_sweep_agrees_with_pattern_avoidance_exhaustive():
 def test_is_separable_agrees_with_pattern_avoidance_random(word):
     p = Permutation(word)
     assert is_separable(p) == p.avoids(PATTERN_2413, PATTERN_3142)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(9, 14).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_witness_is_the_first_occurrence_in_the_whole_input_random(word):
+    p = Permutation(word)
+    assert _sweep_witness(p) == _whole_input_witness(p)
