@@ -249,12 +249,11 @@ def _cmd_verify(args) -> int:
     from .verify import verify_suite
 
     report = verify_suite(args.suite, args.max_n)
-    if args.format == "json":
-        print(json.dumps(report.to_json_obj(), indent=1, sort_keys=True))
-    elif args.format == "csv":
+    # The report's CSV has a row per check, not _emit's single row.
+    if args.format == "csv":
         print(report.to_csv())
     else:
-        print(report.to_text())
+        _emit(args, report.to_json_obj(), report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -228,6 +228,8 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
     S(t, z) is the generating function sum_n S_n(t) z^n truncated to
     z^order; the residual vanishes termwise in that range.
     """
+    if order < 1:
+        raise ValueError("need order >= 1")
     zero = IntPolynomial.zero()
     s1 = [zero] + [separable_poly(n) for n in range(1, order + 1)]
     s2 = [sum((s1[i] * s1[m - i] for i in range(m + 1)), zero) for m in range(order + 1)]

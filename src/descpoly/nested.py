@@ -115,11 +115,11 @@ def sizes(ix: Index) -> list[int]:
     return size
 
 
-def check(root: Node, labels: tuple[str, ...], error: type[Exception]) -> Index:
+def check(root: Node, error: type[Exception]) -> Index:
     """``index(root)`` of a tree that words and di-sk trees both accept.
 
     Every node is a ``(label, left, right)`` tuple with a label from
-    ``labels``, and no right child repeats its parent's label: the
+    ``LABELS``, and no right child repeats its parent's label: the
     right-chain restriction of words is the alternation of di-sk trees.
     Raises ``error`` otherwise.
     """
@@ -132,7 +132,7 @@ def check(root: Node, labels: tuple[str, ...], error: type[Exception]) -> Index:
         if node.__class__ is not tuple or len(node) != 3:
             raise error(malformed)
         label, _, right = node
-        if label not in labels:
+        if label not in LABELS:
             raise error(f"bad label {label!r}")
         if right is not None and right[0] == label:
             raise error("right chain does not alternate")
@@ -180,8 +180,7 @@ def render(ix: Index, leaf: str, opens: dict, mids: dict, close: str = ")") -> s
     return "".join(out)
 
 
-def parse(tokens: Sequence[str], atom: str, labels: tuple[str, ...],
-          op_at: int, error: type[Exception]) -> Node:
+def parse(tokens: Sequence[str], atom: str, op_at: int, error: type[Exception]) -> Node:
     """Build triples from ``( item item item )`` groups, without recursion.
 
     Inside a group the label is item ``op_at`` (0 or 1) and the other two
@@ -207,16 +206,16 @@ def parse(tokens: Sequence[str], atom: str, labels: tuple[str, ...],
             if pop() is not _CLOSE:
                 raise error(f"group at offset {pos} does not hold three items")
             op, l = (a, b) if op_at == 0 else (b, a)
-            if (op not in labels
+            if (op not in LABELS
                     or not (l is None or l.__class__ is tuple)
                     or not (r is None or r.__class__ is tuple)):
                 raise error(f"group at offset {pos} is not a label and two subtrees")
             push((op, l, r))
-        elif tok in labels:
+        elif tok in LABELS:
             push(tok)
         else:
             raise error(f"unexpected {tok!r} at offset {pos}")
-    if len(stack) != 1 or stack[0] is _CLOSE or stack[0] in labels:
+    if len(stack) != 1 or stack[0] is _CLOSE or stack[0] in LABELS:
         raise error("input is not a single tree")
     return stack[0]
 
@@ -252,7 +251,7 @@ class CheckedTree:
 
     def __init__(self, root: Node, _validate: bool = True):
         self._root = root
-        self._ix = check(root, LABELS, self._ERROR) if _validate else None
+        self._ix = check(root, self._ERROR) if _validate else None
         self._labels = None
 
     @classmethod
@@ -298,7 +297,7 @@ class CheckedTree:
     def parse(cls, text: str):
         """Read the text form.  Raises the class's error for text off the
         grammar, and for a right chain that does not alternate."""
-        return cls(parse(cls._tokens(text), cls._ATOM, LABELS, cls._OP_AT, cls._ERROR))
+        return cls(parse(cls._tokens(text), cls._ATOM, cls._OP_AT, cls._ERROR))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}.parse({self._text()!r})"

@@ -225,7 +225,7 @@ PATTERN_2413 = Permutation((2, 4, 1, 3))
 PATTERN_3142 = Permutation((3, 1, 4, 2))
 
 
-def separating_pass(word: Sequence[int], join=None) -> list:
+def separating_pass(word: Sequence[int], join=None) -> tuple[list, list[int], list[int]]:
     """Blocks left by one left-to-right stack pass over a permutation.
 
     This is the separating-tree construction of Bose, Buss and Lubiw
@@ -239,10 +239,11 @@ def separating_pass(word: Sequence[int], join=None) -> list:
     Each block carries a part: None for a single entry, and
     ``join(increasing, left_part, right_part)`` for a merge, where
     ``increasing`` says the left block holds the smaller values.  Without
-    ``join`` the parts stay None; only their number matters then.
+    ``join`` the parts stay None.  Returns the parts and, alongside, each
+    block's least and greatest value, left to right.
 
-    >>> len(separating_pass((2, 1, 3))), len(separating_pass((2, 4, 1, 3)))
-    (1, 4)
+    >>> separating_pass((2, 1, 3)), separating_pass((2, 4, 1, 3))[1]
+    (([None], [1], [3]), [2, 4, 1, 3])
     """
     lo: list[int] = []
     hi: list[int] = []
@@ -267,17 +268,22 @@ def separating_pass(word: Sequence[int], join=None) -> list:
         lo.append(a)
         hi.append(b)
         parts.append(part)
-    return parts
+    return parts, lo, hi
+
+
+def _one_block(word: Sequence[int]) -> bool:
+    return len(separating_pass(word)[0]) <= 1
 
 
 def is_separable(p: Permutation) -> bool:
     """True when p avoids both 2413 and 3142, decided by the linear
     ``separating_pass``."""
-    return len(separating_pass(p.word)) <= 1
+    return _one_block(p.word)
 
 
 def separable_permutations(n: int) -> Iterator[Permutation]:
-    return (p for p in all_permutations(n) if is_separable(p))
+    words = itertools.permutations(range(1, n + 1))
+    return (Permutation(w) for w in words if _one_block(w))
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -86,9 +86,6 @@ class CheckRecord(NamedTuple):
     expected: str
     actual: str
 
-    def to_json_obj(self) -> dict:
-        return self._asdict()
-
 
 class VerificationReport(Value):
     """The one mutable value: a suite appends records, and the runner sets
@@ -109,6 +106,16 @@ class VerificationReport(Value):
         self.records = [] if records is None else records
         self.wall_time = wall_time
 
+    def check(self, cid: str, subject: str, expected, actual) -> None:
+        status = PASS if expected == actual else FAIL
+        self.records.append(CheckRecord(cid, subject, status, repr(expected), repr(actual)))
+
+    def check_true(self, cid: str, subject: str, ok: bool) -> None:
+        self.records.append(CheckRecord(cid, subject, PASS if ok else FAIL, "true", repr(ok)))
+
+    def note_discrepancy(self, cid: str, subject: str, expected, actual) -> None:
+        self.records.append(CheckRecord(cid, subject, DISCREPANCY, repr(expected), repr(actual)))
+
     @property
     def passed(self) -> bool:
         return all(r.status != FAIL for r in self.records)
@@ -126,7 +133,7 @@ class VerificationReport(Value):
             "suite": self.suite,
             "passed": self.passed,
             "counts": self.counts(),
-            "records": [r.to_json_obj() for r in self.sorted_records()],
+            "records": [r._asdict() for r in self.sorted_records()],
         }
 
     def to_text(self) -> str:
@@ -151,27 +158,6 @@ class VerificationReport(Value):
         return "\n".join(rows)
 
 
-class _Suite:
-    def __init__(self, name: str):
-        self.report = VerificationReport(name)
-
-    def check(self, cid: str, subject: str, expected, actual) -> None:
-        status = PASS if expected == actual else FAIL
-        self.report.records.append(
-            CheckRecord(cid, subject, status, repr(expected), repr(actual))
-        )
-
-    def check_true(self, cid: str, subject: str, ok: bool, detail: str = "") -> None:
-        self.report.records.append(
-            CheckRecord(cid, subject, PASS if ok else FAIL, "true", detail or repr(ok))
-        )
-
-    def note_discrepancy(self, cid: str, subject: str, expected, actual) -> None:
-        self.report.records.append(
-            CheckRecord(cid, subject, DISCREPANCY, repr(expected), repr(actual))
-        )
-
-
 def tables_suite() -> VerificationReport:
     """Pinned polynomial tables, gamma vectors, rc-index listings, counts."""
     from . import rcindex
@@ -179,7 +165,7 @@ def tables_suite() -> VerificationReport:
     from .trees import enumerate_shapes, enumerate_trees
     from .words import enumerate_words
 
-    s = _Suite("tables")
+    s = VerificationReport("tables")
     for n, coeffs in S_TABLE.items():
         s.check(f"tables.S.{n}", f"separable descent polynomial, n={n}",
                 coeffs, families.separable_poly(n).coeffs)
@@ -216,7 +202,7 @@ def tables_suite() -> VerificationReport:
                 f"sum of 2^r over shapes equals the Schröder number, n={n}",
                 SCHRODER[n - 1],
                 sum(2**sh.r for sh in enumerate_shapes(n)))
-    return s.report
+    return s
 
 
 def bijection_suite(max_n: int = 8) -> VerificationReport:
@@ -226,7 +212,7 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
     from .trees import enumerate_trees, word_to_tree
     from .words import enumerate_words, sweep, word_to_perm
 
-    s = _Suite("bijection")
+    s = VerificationReport("bijection")
     for n in range(1, max_n + 1):
         ok_round = True
         ok_stat = True
@@ -276,7 +262,7 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
                     ok_order = False
     s.check_true("bijection.order-independence",
                  f"10 random application orders agree, n<={max_n}", ok_order)
-    return s.report
+    return s
 
 
 def identities_suite(max_n: int = 8) -> VerificationReport:
@@ -288,7 +274,7 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
     from . import rcindex
     from .permutations import all_permutations
 
-    s = _Suite("identities")
+    s = VerificationReport("identities")
     enum_n = min(max_n, families.BRUTE_FORCE_CAP)
     add_n = min(max_n, 8)
     ok_add = True
@@ -354,7 +340,7 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
         split = families.separable_split(n)
         s.check(f"identities.split.{n}", f"root-label split recurrences, n={n}",
                 families.separable_split_enum(n), split)
-    return s.report
+    return s
 
 
 def conjectures_suite(max_n: int = 40) -> VerificationReport:
@@ -367,7 +353,7 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
     from .polynomials import is_palindromic, is_unimodal
     from .realroots import is_real_rooted
 
-    s = _Suite("conjectures")
+    s = VerificationReport("conjectures")
     for n in range(2, max_n + 1):
         rep = families.spiral_report(n)
         s.check_true(f"conjectures.spiral.D.{n:02d}",
@@ -403,7 +389,7 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
         s.check_true(f"conjectures.gessel-symmetry.{n}",
                      f"joint statistic polynomial symmetric, n={n}",
                      two_var_poly(n).is_symmetric())
-    return s.report
+    return s
 
 
 SUITES: dict[str, Callable[..., VerificationReport]] = {

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, sizes
+from .nested import MINUS, PLUS, CheckedTree, Index, Node, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
@@ -117,9 +117,10 @@ def sweep(p: Permutation) -> SchroderWord:
     """
     if not p.word:
         raise ValueError("the empty permutation has no Schröder word")
-    blocks = separating_pass(p.word, _join)
-    if len(blocks) > 1:
-        starts = list(accumulate((len(index(b).nodes) for b in blocks[:-1]), initial=0))
+    parts, lo, hi = separating_pass(p.word, _join)
+    if len(parts) > 1:
+        # A block over the values lo..hi holds hi - lo + 1 entries.
+        starts = list(accumulate((b - a + 1 for a, b in zip(lo, hi[:-1])), initial=0))
         firsts = [p.word[s] for s in starts]
         rank = {v: r for r, v in enumerate(sorted(firsts), 1)}
         residue = Permutation(rank[v] for v in firsts)
@@ -128,7 +129,7 @@ def sweep(p: Permutation) -> SchroderWord:
             if hit is not None:
                 raise NotSeparableError(p, pattern, tuple(starts[i - 1] + 1 for i in hit))
         raise AssertionError(f"sweep stuck on {p} with no forbidden pattern")
-    return SchroderWord(blocks[0])
+    return SchroderWord(parts[0])
 
 
 def _join(increasing: bool, left: Node, right: Node) -> tuple:

@@ -406,6 +406,15 @@ def test_cubic_residual_vanishes():
     assert all(c.is_zero() for c in residual)
 
 
+def test_cubic_residual_needs_an_order_of_at_least_one():
+    residual = cubic_equation_residual(1)
+    assert len(residual) == 2
+    assert all(c.is_zero() for c in residual)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="need order >= 1"):
+            cubic_equation_residual(order)
+
+
 def test_desarrangement_histogram():
     assert desarrangement_histogram(6).coeffs == (0, 16, 104, 120, 24, 1)
     assert desarrangement_histogram(2).coeffs == (0, 1)

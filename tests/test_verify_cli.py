@@ -1,6 +1,7 @@
 """The verification suites, report formats, cache, and CLI surface."""
 
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -407,6 +408,21 @@ def test_cli_verify_json(capsys):
     assert main(["--format", "json", "verify", "conjectures", "--max-n", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["suite"] == "conjectures" and data["passed"] is True
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--format json verify tables",
+     "ad656d6d263e4c8d1fdf9a0dc1c8590b8e7174ac179494c46b936a3f11c9a469"),
+    ("--format json verify identities --max-n 6",
+     "617e9543cb3d57504dcfb7f0254555cc24efd47cadfb5942cd56cf6a8d4334ec"),
+    ("--format csv verify tables",
+     "71a78cda9162462712a6cb66a7806e8f85860e16a5af5fda5ba868cbf1afd0d5"),
+])
+def test_cli_verify_report_is_pinned(argv, digest):
+    result = subprocess.run([sys.executable, "-m", "descpoly", *argv.split()],
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 def test_cli_usage_error(capsys):
