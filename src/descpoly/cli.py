@@ -234,7 +234,7 @@ def _cmd_bij(args) -> int:
     from .trees import DiskTree
 
     text = args.tree.read_text().strip()
-    if text.startswith("{"):
+    if text.startswith("{") or text == "null":
         tree = DiskTree.from_json(text)
     else:
         tree = DiskTree.parse(text)

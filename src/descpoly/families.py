@@ -63,6 +63,8 @@ def catalan(n: int) -> int:
 
 def derangement_count(n: int) -> int:
     """d_n = (-1)^n + n d_{n-1}, d_0 = 1."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     d = 1
     for m in range(1, n + 1):
         d = (-1) ** m + m * d

@@ -102,31 +102,21 @@ class GesselGamma(Value):
 def _symmetric_coordinates(grid: Grid) -> dict[tuple[int, int], int]:
     """Write a symmetric grid as sum c (st)^b (s+t)^m; returns {(b, m): c}.
 
-    The lex-leading monomial s^a t^c of a symmetric polynomial has a >= c,
-    and it leads (st)^c (s+t)^(a-c) too, so subtracting that element times
-    its coefficient lowers the leading monomial.  A leading monomial with
-    a < c means the grid was not symmetric.
+    The terms of total degree d form h_d(s, t), and h_d(1, t) =
+    sum_b c_b t^b (1+t)^(d-2b) is a gamma expansion of darga d, palindromic
+    exactly when h_d is symmetric.  So gamma_decompose reads off the c_b
+    with m = d - 2b, and raises its ValueError on an asymmetric grid.
 
     >>> _symmetric_coordinates({(0, 0): 1, (1, 1): 4, (2, 2): 1})
-    {(2, 0): 1, (1, 0): 4, (0, 0): 1}
+    {(0, 0): 1, (1, 0): 4, (2, 0): 1}
     """
-    residual = {k: v for k, v in grid.items() if v}
+    rows: dict[int, dict[int, int]] = {}
+    for (a, c), coeff in grid.items():
+        rows.setdefault(a + c, {})[c] = coeff
     coords: dict[tuple[int, int], int] = {}
-    while residual:
-        a, c = max(residual)
-        if a < c:
-            raise ValueError("not symmetric in s and t")
-        coeff = coords[(c, a - c)] = residual[(a, c)]
-        # subtract coeff * sum_k C(m, k) s^(a-k) t^(c+k), C(m, k) by running ratios
-        m = a - c
-        for k in range(m + 1):
-            key = (a - k, c + k)
-            left = residual.get(key, 0) - coeff
-            if left:
-                residual[key] = left
-            else:
-                del residual[key]
-            coeff = coeff * (m - k) // (k + 1)
+    for d, row in rows.items():
+        vec = gamma_decompose(IntPolynomial(row.get(c, 0) for c in range(d + 1)), d)
+        coords.update(((b, d - 2 * b), g) for b, g in vec.items() if g)
     return coords
 
 

@@ -57,6 +57,8 @@ class IntPolynomial(Value):
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPolynomial":
+        if k < 0:
+            raise ValueError("negative exponent")
         return cls((0,) * k + (c,))
 
     def is_zero(self) -> bool:
@@ -129,6 +131,8 @@ class IntPolynomial(Value):
 
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by t^k."""
+        if k < 0:
+            raise ValueError("negative exponent")
         if not self.coeffs:
             return self
         return IntPolynomial((0,) * k + self.coeffs)

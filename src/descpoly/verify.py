@@ -213,6 +213,8 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
     from .words import enumerate_words, sweep, word_to_perm
 
     s = VerificationReport("bijection")
+    cases_seen: set[str] = set()
+    ok_order = True
     for n in range(1, max_n + 1):
         ok_round = True
         ok_stat = True
@@ -234,13 +236,16 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
         )
         s.check_true(f"bijection.roundtrip.word.{n}",
                      f"rebuild then sweep is the identity, n={n}", ok_word)
-        ok_tree = all(
-            word_to_tree(t.to_word()) == t for t in enumerate_trees(n)
-        )
+        ok_tree = True
+        for t in enumerate_trees(n):
+            if word_to_tree(t.to_word()) != t:
+                ok_tree = False
+            m = classify(t)
+            if m.in_dt1 != m.in_dt2 and not order_independence_certificate(
+                    t, trials=10, seed=n):
+                ok_order = False
         s.check_true(f"bijection.roundtrip.tree.{n}",
                      f"tree/word conversion round trip, n={n}", ok_tree)
-    cases_seen: set[str] = set()
-    for n in range(1, max_n + 1):
         for k in range((n - 1) // 2 + 1):
             cert = bijection_certificate(n, k)
             gamma_k = families.separable_gamma(n)[k]
@@ -253,13 +258,6 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
             f"the search cases first seen by n={max_n} all appear",
             sorted(case for case, first in CASE_FIRST_SEEN.items() if first <= max_n),
             sorted(cases_seen))
-    ok_order = True
-    for n in range(2, max_n + 1):
-        for t in enumerate_trees(n):
-            m = classify(t)
-            if (m.in_dt1 or m.in_dt2) and not (m.in_dt1 and m.in_dt2):
-                if not order_independence_certificate(t, trials=10, seed=n):
-                    ok_order = False
     s.check_true("bijection.order-independence",
                  f"10 random application orders agree, n<={max_n}", ok_order)
     return s

@@ -86,6 +86,13 @@ def test_derangement_row_sums():
         assert derangement_poly(n)(1) == derangement_count(n)
 
 
+def test_derangement_count_starts_at_d0():
+    assert [derangement_count(n) for n in range(6)] == [1, 0, 1, 2, 9, 44]
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="^need n >= 0$"):
+            derangement_count(n)
+
+
 def test_derangement_degree_and_leading_facts():
     # even size: monic of degree n-1; odd size: degree n-2
     for n in range(2, 14):

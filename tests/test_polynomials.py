@@ -40,6 +40,18 @@ def test_normalization_and_degree():
         IntPolynomial(()).degree
 
 
+def test_negative_exponents_raise():
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        IntPolynomial((1, 2)).shift(-1)
+    # the zero polynomial checks k before returning itself
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        IntPolynomial.zero().shift(-2)
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        IntPolynomial.monomial(-1, 5)
+    assert IntPolynomial((1, 2)).shift(0) == IntPolynomial((1, 2))
+    assert IntPolynomial.monomial(0, 5) == IntPolynomial((5,))
+
+
 def test_derivative():
     p = IntPolynomial((5, 3, 0, 2))  # 5 + 3t + 2t^3
     assert p.derivative() == IntPolynomial((3, 0, 6))

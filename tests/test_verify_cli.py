@@ -375,6 +375,15 @@ def test_cli_bij(tmp_path, capsys):
     assert main(["bij", "psi", "--tree", str(jf)]) == 0
 
 
+@pytest.mark.parametrize("direction", ["psi", "phi"])
+def test_cli_bij_on_a_json_null_tree(tmp_path, capsys, direction):
+    # DiskTree.to_json writes the empty tree of order 1 as null
+    jf = tmp_path / "tree.json"
+    jf.write_text("null\n")
+    assert main(["bij", direction, "--tree", str(jf)]) == 0
+    assert capsys.readouterr().out == "_\n"
+
+
 def test_cli_bij_tree_without_a_key(tmp_path, capsys):
     jf = tmp_path / "tree.json"
     jf.write_text('{"label": "+", "left": null}')
@@ -417,6 +426,8 @@ def test_cli_verify_json(capsys):
      "617e9543cb3d57504dcfb7f0254555cc24efd47cadfb5942cd56cf6a8d4334ec"),
     ("--format csv verify tables",
      "71a78cda9162462712a6cb66a7806e8f85860e16a5af5fda5ba868cbf1afd0d5"),
+    ("--format json verify bijection --max-n 8",
+     "cf3667a8f67aaff5968417e35b5a6fa49fc3e1e1d3e1902d42905b69c0820197"),
 ])
 def test_cli_verify_report_is_pinned(argv, digest):
     result = subprocess.run([sys.executable, "-m", "descpoly", *argv.split()],
