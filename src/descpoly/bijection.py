@@ -147,6 +147,15 @@ def _hang_label(tree: DiskTree, group: GroupRecord) -> Optional[str]:
     return tree.labels()[group.hang_node - 1]
 
 
+def _run_end(view: RightChainView, run: tuple[int, ...], pos: int, step: int,
+             label: str) -> int:
+    """The last position of ``run`` reached from ``pos`` by steps of
+    ``step`` (+1 up, -1 down) onto chains that start with ``label``."""
+    while 0 <= pos + step < len(run) and view.chains[run[pos + step] - 1].starts_with == label:
+        pos += step
+    return pos
+
+
 def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     """Adjoint of the odd ``-``-starting chain C, with its case tag.
 
@@ -171,33 +180,23 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     pos = run.index(chain_index)
     hang = _hang_label(tree, group)
 
-    if hang is None or hang == PLUS:
-        for cj in reversed(run[:pos]):
-            cand = view.chains[cj - 1]
-            if cand.is_odd:
-                _ensure(cand.starts_with == PLUS, "the first odd chain below starts '+'",
-                        tree, chain_index, cj)
-                if c.level == 0:
-                    case = "I" if cand.length == 1 else "II"
-                else:
-                    case = "III" if cand.length == 1 else "IV"
-                return AdjointResult(cj, case, None)
-            _ensure(cand.starts_with == MINUS, "an even chain below starts '-'",
-                    tree, chain_index, cj)
-        raise InvariantError(f"no adjoint below chain {chain_index} in {tree!r}")
+    if hang in (None, PLUS):
+        end = _run_end(view, run, pos, -1, MINUS)
+        _ensure(end > 0 and view.chains[run[end - 1] - 1].is_odd
+                and not any(view.chains[cj - 1].is_odd for cj in run[end:pos]),
+                "the even '-'-starting chains below C rest on an odd chain",
+                tree, chain_index)
+        adjoint = view.chains[run[end - 1] - 1]
+        if c.level == 0:
+            case = "I" if adjoint.length == 1 else "II"
+        else:
+            case = "III" if adjoint.length == 1 else "IV"
+        return AdjointResult(adjoint.index, case, None)
 
-    # Hang node labeled '-': look upward for the pivot.
-    pivot = None
-    adjoint_idx = None
-    for offset, cj in enumerate(run[pos + 1 :], start=pos + 1):
-        cand = view.chains[cj - 1]
-        if cand.starts_with == MINUS:
-            pivot = cand.terminal
-            adjoint_idx = run[offset - 1]
-            break
-    if pivot is None:
-        pivot = group.hang_node
-        adjoint_idx = run[-1]
+    # Hang node labeled '-': the adjoint is where the '+'-starting run stops.
+    end = _run_end(view, run, pos, 1, PLUS)
+    adjoint_idx = run[end]
+    pivot = view.chains[run[end + 1] - 1].terminal if end + 1 < len(run) else group.hang_node
     _ensure(adjoint_idx != chain_index, "a chain is not its own adjoint", tree, chain_index)
     adjoint = view.chains[adjoint_idx - 1]
     _ensure(adjoint.is_odd and adjoint.starts_with == PLUS,
@@ -211,9 +210,7 @@ def _lock_run_repair(tree: DiskTree, view: RightChainView, violation: Violation,
                      attach_node: int) -> RepairResult:
     """Cases 1-4: L is the last chain of the maximal ``-``-starting run
     upward from ``run[pos]``, and is even and ends ``+``."""
-    while pos + 1 < len(run) and view.chains[run[pos + 1] - 1].starts_with == MINUS:
-        pos += 1
-    l_chain = view.chains[run[pos] - 1]
+    l_chain = view.chains[run[_run_end(view, run, pos, 1, MINUS)] - 1]
     _ensure(not l_chain.is_odd and tree.labels()[l_chain.tail - 1] == PLUS,
             "L is even and ends '+'", tree, violation)
     attach_kind = "lock-left" if case % 2 else "attach-right"
@@ -224,9 +221,11 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     """The even chain L fixing one family-two violation, with its case tag.
 
     Case 1 (tree starts ``-``) and the consecutive-pair cases 2-4 walk up a
-    lock run through ``-``-starting chains; cases 5/6 (pair under a ``-``
-    hang node) read L straight off the pair.  Cases 1/3/5 relocate L's last
-    node to the front of its group; cases 2/4/6 append it to a chain below.
+    lock run through ``-``-starting chains, cases 1 and 3 from a ``-`` node
+    opening its group; cases 5/6 (pair under a ``-`` hang node) read L
+    straight off the pair and walk down the ``+``-starting run below it.
+    Cases 1/3/5 relocate L's last node to the front of its group; cases
+    2/4/6 append it to a chain below.
 
     Raises FamilyError for a violation that is not one of the tree's: not
     ``(1,)`` on a ``-`` first node, nor a pair ``(x, x + 1)`` of ``-`` nodes.
@@ -243,40 +242,29 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
         raise FamilyError(f"not a family-two violation: {violation}")
     view = tree.right_chains()
     ix = tree._index()
-    left, right, parent = ix.left, ix.right, ix.parent
 
-    if kind == "first-node-minus":
-        first = view.chains[0]
-        _ensure(first.terminal == 1 and first.starts_with == MINUS,
-                "the first chain starts at node 1 with '-'", tree)
+    if kind == "first-node-minus" or ix.right[nodes[0]]:
+        # Case 1: node 1 is '-'.  Case 3: the pair straddles a hang, y being
+        # the first node of the group hanging at N = right child of x.
+        case, s, hang_node = (1, 1, None) if kind == "first-node-minus" else (
+            3, nodes[1], ix.right[nodes[0]])
+        first = view.chains[tree.chain_index_of(s) - 1]
         group = _group_of(view, first)
-        _ensure(group.hang_node is None and group.chains[0] == first.index,
-                "the first chain opens the root group", tree)
-        return _lock_run_repair(tree, view, violation, group.chains, 0, 1, first.terminal)
+        _ensure(first.terminal == s and first.starts_with == MINUS
+                and group.chains[0] == first.index and group.hang_node == hang_node
+                and _hang_label(tree, group) in (None, PLUS),
+                "s is a '-' node opening a group that hangs at no node or at a '+' node",
+                tree, violation)
+        return _lock_run_repair(tree, view, violation, group.chains, 0, case, s)
 
     x, y = nodes
-
-    if right[x]:
-        # The pair straddles a hang: y is the first node of the group
-        # hanging at N = right child of x, and N is labeled '+'.
-        n_node = right[x]
-        _ensure(labels[n_node - 1] == PLUS, "the hang node is '+'", tree, violation)
-        first_idx = tree.chain_index_of(y)
-        first = view.chains[first_idx - 1]
-        _ensure(first.terminal == y, "y starts its chain", tree, violation)
-        group = _group_of(view, first)
-        _ensure(group.hang_node == n_node and group.chains[0] == first_idx,
-                "y's chain opens the group hanging at the right child of x",
-                tree, violation)
-        return _lock_run_repair(tree, view, violation, group.chains, 0, 3, y)
-
     k_idx = tree.chain_index_of(x)
     k_chain = view.chains[k_idx - 1]
     _ensure(k_chain.tail == x, "the first node of a '-' pair ends its chain",
             tree, violation)
     group = _group_of(view, k_chain)
-    p = parent[k_chain.terminal]
-    _ensure(p == y, "y is the parent of the terminal of x's chain", tree, violation)
+    _ensure(ix.parent[k_chain.terminal] == y, "y is the parent of the terminal of x's chain",
+            tree, violation)
 
     z_idx = tree.chain_index_of(y)
     if y == view.chains[z_idx - 1].terminal:
@@ -284,7 +272,7 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
         _ensure(view.chains[z_idx - 1].group == k_chain.group,
                 "a lock pair lies in one group", tree, violation)
         hang = _hang_label(tree, group)
-        if hang is None or hang == PLUS:
+        if hang in (None, PLUS):
             return _lock_run_repair(tree, view, violation, group.chains,
                                     group.chains.index(z_idx), 2 if hang is None else 4, x)
         # Hang node '-': fall through, the pivot is y and L is x's chain.
@@ -295,16 +283,11 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     # Cases 5/6: L is the even '+'-starting chain ending at x.
     _ensure(not k_chain.is_odd and k_chain.starts_with == PLUS,
             "x's chain is even and starts '+'", tree, violation)
-    pos = group.chains.index(k_idx)
-    one_l_idx = None
-    for cj in reversed(group.chains[:pos]):
-        if view.chains[cj - 1].starts_with == MINUS:
-            one_l_idx = cj
-            break
-    if one_l_idx is None:
-        first_terminal = view.chains[group.chains[0] - 1].terminal
-        return RepairResult(k_idx, 5, x, "lock-left", first_terminal)
-    one_l = view.chains[one_l_idx - 1]
+    run = group.chains
+    end = _run_end(view, run, run.index(k_idx), -1, PLUS)
+    if end == 0:
+        return RepairResult(k_idx, 5, x, "lock-left", view.chains[run[0] - 1].terminal)
+    one_l = view.chains[run[end - 1] - 1]
     _ensure(not one_l.is_odd and labels[one_l.tail - 1] == PLUS,
             "the chain below is even and ends '+'", tree, violation)
     return RepairResult(k_idx, 6, x, "attach-right", one_l.tail)

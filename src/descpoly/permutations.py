@@ -204,13 +204,19 @@ def insert_value(p: Permutation, j: int) -> Permutation:
     return Permutation(tuple(v + 1 if v >= j else v for v in p.word) + (j,))
 
 
+def _words(n: int) -> Iterator[tuple[int, ...]]:
+    """The words of 1..n, lexicographic; n < 0 is refused at the call."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return itertools.permutations(range(1, n + 1))
+
+
 def identity(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
+    return Permutation(next(_words(n)))  # 1 2 ... n comes first
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    for w in itertools.permutations(range(1, n + 1)):
-        yield Permutation(w)
+    return map(Permutation, _words(n))
 
 
 def derangements(n: int) -> Iterator[Permutation]:
@@ -282,8 +288,7 @@ def is_separable(p: Permutation) -> bool:
 
 
 def separable_permutations(n: int) -> Iterator[Permutation]:
-    words = itertools.permutations(range(1, n + 1))
-    return (Permutation(w) for w in words if _one_block(w))
+    return (Permutation(w) for w in _words(n) if _one_block(w))
 
 
 def parse_permutation(text: str) -> Permutation:

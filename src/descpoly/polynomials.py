@@ -88,6 +88,8 @@ class IntPolynomial(Value):
         return bool(self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -105,6 +107,8 @@ class IntPolynomial(Value):
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial.zero()
@@ -148,7 +152,7 @@ class IntPolynomial(Value):
 
     def truncate(self, order: int) -> "IntPolynomial":
         """Drop all terms of exponent > ``order``."""
-        return IntPolynomial(self.coeffs[: order + 1])
+        return IntPolynomial(self.coeffs[: max(order + 1, 0)])
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)

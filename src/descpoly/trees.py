@@ -464,8 +464,7 @@ def enumerate_shapes(n: int) -> Iterator[TreeShape]:
     """All unlabeled binary trees with n-1 nodes (Catalan many)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    for s in _gen_shapes(n - 1):
-        yield TreeShape(s)
+    return (TreeShape(s) for s in _gen_shapes(n - 1))
 
 
 @lru_cache(maxsize=None)

@@ -185,8 +185,7 @@ def enumerate_words(n: int) -> Iterator[SchroderWord]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    for expr in _gen_exprs(n):
-        yield SchroderWord(expr, _validate=False)
+    return (SchroderWord(expr, _validate=False) for expr in _gen_exprs(n))
 
 
 @lru_cache(maxsize=None)

@@ -208,6 +208,24 @@ def test_case_coverage_by_n8():
     assert seen == {"I", "II", "III", "IV", "V", "VI", "1", "2", "3", "4", "5", "6"}
 
 
+def test_every_search_result_to_n8_is_pinned():
+    # Every adjoint and repair found on a family member up to n = 8: each
+    # chain, case tag, pivot, cut node and attach node, not only the counts.
+    lines = []
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            m = classify(t)
+            if m.in_dt2:
+                lines.extend(repr(find_adjoint(t, t.chain_index_of(v.nodes[0])))
+                             for v in family_one_violations(t))
+            if m.in_dt1:
+                lines.extend(repr(find_repair_chain(t, v))
+                             for v in family_two_violations(t))
+    assert len(lines) == 1948
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "813fc8690655018adee3c4f549bd1ec84eaff666fb427383d91d39084c4018e0"
+
+
 def test_order_independence_exhaustive_small():
     for n in range(2, 8):
         for t in enumerate_trees(n):

@@ -10,12 +10,14 @@ from descpoly.permutations import (
     PATTERN_3142,
     Permutation,
     all_permutations,
+    derangements,
     desarrangements,
     find_pattern,
     identity,
     insert_value,
     is_separable,
     parse_permutation,
+    separable_permutations,
 )
 
 perms = st.integers(1, 7).flatmap(
@@ -202,3 +204,14 @@ def test_parse_permutation_forms():
     assert parse_permutation("10 3 1 2 4 5 6 7 8 9").word[0] == 10
     with pytest.raises(ValueError):
         parse_permutation("")
+
+
+def test_negative_orders_are_refused_at_the_call():
+    for make in (all_permutations, separable_permutations, derangements,
+                 desarrangements, identity):
+        for n in (-1, -2, -3):
+            with pytest.raises(ValueError, match="^need n >= 0$"):
+                make(n)  # not iterated: the check runs at the call
+    for make in (all_permutations, separable_permutations, derangements, desarrangements):
+        assert list(make(0)) == [Permutation(())]
+    assert identity(0) == Permutation(()) and identity(3) == Permutation((1, 2, 3))

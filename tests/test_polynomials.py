@@ -52,6 +52,24 @@ def test_negative_exponents_raise():
     assert IntPolynomial.monomial(0, 5) == IntPolynomial((5,))
 
 
+def test_truncate_below_order_zero_is_the_zero_polynomial():
+    p = IntPolynomial((1, 2, 3))
+    assert p.truncate(2) == p and p.truncate(1) == IntPolynomial((1, 2))
+    assert p.truncate(0) == IntPolynomial((1,))
+    for order in (-1, -2, -3, -4, -10):
+        assert p.truncate(order).is_zero(), order
+
+
+def test_arithmetic_with_a_non_polynomial_is_a_type_error():
+    p = IntPolynomial((1, 2))
+    for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p * 1.5,
+               lambda: 1.5 * p, lambda: p + "t", lambda: p * None):
+        with pytest.raises(TypeError):
+            op()
+    assert p * 3 == 3 * p == IntPolynomial((3, 6))
+    assert p * IntPolynomial((0, 1)) == IntPolynomial((0, 1, 2))
+
+
 def test_derivative():
     p = IntPolynomial((5, 3, 0, 2))  # 5 + 3t + 2t^3
     assert p.derivative() == IntPolynomial((3, 0, 6))

@@ -366,6 +366,15 @@ def test_parse_rejects_malformed_text(text):
         DiskTree.parse(text)
 
 
+def test_enumerators_refuse_an_order_below_1_at_the_call():
+    for make in (enumerate_words, enumerate_shapes, enumerate_trees):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^need n >= 1$"):
+                make(n)  # not iterated: the check runs at the call
+    assert list(enumerate_words(1)) == [SchroderWord.parse("1")]
+    assert list(enumerate_shapes(1)) == [TreeShape(None)]
+
+
 def test_empty_tree():
     t = DiskTree(None)
     assert t.size == 0 and t.n == 1
