@@ -1,7 +1,8 @@
 """Joint (ides, des) statistics and their two-variable gamma expansion.
 
-``two_var_poly(n)`` enumerates sum over S_n of s^ides * t^des as an exact
-coefficient grid.  The polynomial is symmetric in (s, t) because inversion
+``two_var_poly(n)`` gives sum over S_n of s^ides * t^des as an exact
+coefficient grid, from binomials rather than by enumerating S_n, so with
+no cap on n.  The polynomial is symmetric in (s, t) because inversion
 swaps the two statistics.
 
 ``gessel_gamma(n)`` expresses that polynomial in the basis
@@ -20,12 +21,12 @@ separable gamma coefficients along the edge j = n - 1 - 2i is evidence.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from math import comb
+from operator import sub
 
 from .errors import InvariantError
-from .families import _check_cap, separable_gamma
-from .permutations import all_permutations
+from .families import separable_gamma
 from .polynomials import IntPolynomial, gamma_decompose
 from .value import Value
 
@@ -61,15 +62,31 @@ class BivariatePolynomial(Value):
 
 @lru_cache(maxsize=None)
 def two_var_poly(n: int) -> BivariatePolynomial:
-    """sum over S_n of s^ides t^des, by direct enumeration, memoized as
-    the other families are: ``gessel_gamma`` and the symmetry check of
-    the conjectures suite read the same grid.
+    """sum over S_n of s^ides t^des, memoized as the other families are:
+    ``gessel_gamma`` and the symmetry check of the conjectures suite read
+    the same grid.
+
+    The grid comes from binomials by the identity of Carlitz, Roselle and
+    Scoville (J. Combin. Theory 1, 1966; Petersen, Math. Mag. 86, 2013)
+
+        sum_{i,j>=0} C(ij+n-1, n) s^i t^j
+            = sum_pi s^(ides+1) t^(des+1) / ((1-s)^(n+1) (1-t)^(n+1)):
+
+    the binomials for i, j <= n, times (1-s)^(n+1) (1-t)^(n+1) as n+1
+    first differences along each axis, hold the counts at exponents 1..n.
 
     >>> two_var_poly(2).as_dict()
     {(0, 0): 1, (1, 1): 1}
     """
-    _check_cap(n)
-    return BivariatePolynomial(Counter((p.ides(), p.des()) for p in all_permutations(n)))
+    if n < 1:
+        raise ValueError("need n >= 1")
+    grid = [[comb(i * j + n - 1, n) for j in range(n + 1)] for i in range(n + 1)]
+    for _ in range(2):   # along t, then, transposed, along s
+        for _ in range(n + 1):
+            grid = [[row[0], *map(sub, row[1:], row)] for row in grid]
+        grid = list(zip(*grid))
+    return BivariatePolynomial({(a - 1, b - 1): grid[a][b]
+                                for a in range(1, n + 1) for b in range(1, n + 1)})
 
 
 class GesselGamma(Value):
@@ -92,11 +109,9 @@ class GesselGamma(Value):
         return self[(k, self.n - 1 - 2 * k)]
 
     def dominates_separable_gamma(self) -> bool:
-        gv = separable_gamma(self.n)
-        return all(
-            self.edge_coefficient(k) >= gv[k]
-            for k in range((self.n - 1) // 2 + 1)
-        )
+        g, n = self.as_dict(), self.n
+        gv = separable_gamma(n)
+        return all(g.get((k, n - 1 - 2 * k), 0) >= gv[k] for k in range((n - 1) // 2 + 1))
 
 
 def _symmetric_coordinates(grid: Grid) -> dict[tuple[int, int], int]:

@@ -14,6 +14,7 @@ the convention pi(n+1) = +infinity, so position n is always an ascent.
 from __future__ import annotations
 
 import itertools
+from operator import and_, gt, lt, ne
 from typing import Iterable, Iterator, Sequence
 
 from .value import Value
@@ -59,7 +60,8 @@ class Permutation(Value):
         return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
     def des(self) -> int:
-        return len(self.descent_set())
+        w = self.word
+        return sum(map(gt, w, w[1:]))
 
     def double_descents(self) -> int:
         """Count positions i with pi(i-1) > pi(i) > pi(i+1), boundaries +inf.
@@ -70,13 +72,8 @@ class Permutation(Value):
         0
         """
         w = self.word
-        count = 0
-        for i in range(1, len(w) + 1):
-            left_bigger = i == 1 or w[i - 2] > w[i - 1]
-            right_smaller = i < len(w) and w[i - 1] > w[i]
-            if left_bigger and right_smaller:
-                count += 1
-        return count
+        falls = [True, *map(gt, w, w[1:])]   # falls[i]: pi(i) > pi(i+1), pi(0) = +inf
+        return sum(map(and_, falls, falls[1:]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.word)
@@ -93,10 +90,9 @@ class Permutation(Value):
         >>> Permutation((2, 3, 1)).ides()
         1
         """
-        pos = [0] * (len(self.word) + 1)
-        for i, v in enumerate(self.word):
-            pos[v] = i
-        return sum(1 for i in range(1, len(self.word)) if pos[i + 1] < pos[i])
+        w = self.word
+        pos = sorted(range(len(w)), key=w.__getitem__)   # pos[v - 1]: where v sits
+        return sum(map(gt, pos, pos[1:]))
 
     def reverse(self) -> "Permutation":
         return Permutation(tuple(reversed(self.word)))
@@ -130,15 +126,12 @@ class Permutation(Value):
         return all(not self.contains_pattern(p) for p in patterns)
 
     def is_derangement(self) -> bool:
-        return all(v != i + 1 for i, v in enumerate(self.word))
+        return all(map(ne, self.word, itertools.count(1)))
 
     def first_ascent(self) -> int:
         """Least i in [n] with pi(i) < pi(i+1), where pi(n+1) = +infinity."""
         w = self.word
-        for i in range(1, len(w)):
-            if w[i - 1] < w[i]:
-                return i
-        return len(w)
+        return next(itertools.compress(itertools.count(1), map(lt, w, w[1:])), len(w))
 
     def is_desarrangement(self) -> bool:
         """True when the first ascent is even.
@@ -215,8 +208,16 @@ def identity(n: int) -> Permutation:
     return Permutation(next(_words(n)))  # 1 2 ... n comes first
 
 
+def _unchecked(word: tuple[int, ...]) -> Permutation:
+    """The Permutation of a word the library generated itself, not
+    validated again; every other word goes through ``Permutation``."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "word", word)
+    return p
+
+
 def all_permutations(n: int) -> Iterator[Permutation]:
-    return map(Permutation, _words(n))
+    return map(_unchecked, _words(n))
 
 
 def derangements(n: int) -> Iterator[Permutation]:
@@ -288,7 +289,7 @@ def is_separable(p: Permutation) -> bool:
 
 
 def separable_permutations(n: int) -> Iterator[Permutation]:
-    return (Permutation(w) for w in _words(n) if _one_block(w))
+    return map(_unchecked, filter(_one_block, _words(n)))
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import descpoly.gessel as gessel
 from descpoly.bijection import InvariantError
 from descpoly.cli import main
-from descpoly.families import BRUTE_FORCE_CAP, separable_gamma
+from descpoly.families import BRUTE_FORCE_CAP, eulerian_poly, separable_gamma
 from descpoly.gessel import (
     BivariatePolynomial,
     GesselGamma,
@@ -19,6 +20,7 @@ from descpoly.gessel import (
     gessel_gamma,
     two_var_poly,
 )
+from descpoly.permutations import all_permutations
 
 
 # The basis as coefficient grids, by repeated multiplication: the reference
@@ -62,6 +64,37 @@ def test_two_var_symmetry_and_totals():
         from descpoly.families import eulerian_poly
         collapsed = poly.substitute_s(1)
         assert all(eulerian_poly(n)[k] == v for k, v in collapsed.items())
+
+
+def enumerated_grid(n):
+    """sum over S_n of s^ides t^des by walking S_n: the oracle the binomial
+    grid is held to."""
+    return dict(Counter((p.ides(), p.des()) for p in all_permutations(n)))
+
+
+def test_binomial_grid_equals_the_enumeration():
+    for n in range(1, BRUTE_FORCE_CAP + 1):
+        assert two_var_poly(n).as_dict() == enumerated_grid(n), n
+
+
+def test_grid_and_gammas_through_n_50():
+    for n in range(1, 51):
+        poly = two_var_poly(n)
+        assert poly.is_symmetric()
+        assert sum(v for _, v in poly.coeffs) == math.factorial(n)
+        collapsed = poly.substitute_s(1)
+        assert [collapsed.get(k, 0) for k in range(n)] == list(eulerian_poly(n).coeffs)
+        g = gessel_gamma(n)
+        assert g.is_nonnegative() and g.dominates_separable_gamma(), n
+
+
+def test_two_var_poly_has_no_enumeration_cap():
+    # n = 9 used to raise ResourceCapError, as the grid walked S_n.  Only
+    # the identity has (ides, des) = (0, 0), and only its reverse (8, 8).
+    poly = two_var_poly(9)
+    assert sum(v for _, v in poly.coeffs) == math.factorial(9)
+    assert poly.is_symmetric() and poly[(0, 0)] == poly[(8, 8)] == 1
+    assert poly.substitute_s(1) == dict(enumerate(eulerian_poly(9).coeffs))
 
 
 def test_basis_element_small():

@@ -136,7 +136,7 @@ SUITE_MODULES = {
     "tables": {"nested", "permutations", "rcindex", "trees", "words"},
     "identities": {"nested", "permutations", "rcindex", "trees", "words"},
     "bijection": {"bijection", "nested", "permutations", "trees", "words"},
-    "conjectures": {"gessel", "permutations", "realroots"},
+    "conjectures": {"gessel", "realroots"},
 }
 SUITE_ARGS = {"tables": (), "identities": ("--max-n", "3"), "bijection": ("--max-n", "3"),
               "conjectures": ("--max-n", "4")}

@@ -1,6 +1,7 @@
 """Permutation statistics against brute-force definitions."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,3 +216,68 @@ def test_negative_orders_are_refused_at_the_call():
     for make in (all_permutations, separable_permutations, derangements, desarrangements):
         assert list(make(0)) == [Permutation(())]
     assert identity(0) == Permutation(()) and identity(3) == Permutation((1, 2, 3))
+
+
+# The statistics as position loops over the word, the way the library
+# counted them before it counted with C-level builtins: the references the
+# builtins are held to.
+def des_loop(w):
+    return len(frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i]))
+
+
+def ides_loop(w):
+    pos = [0] * (len(w) + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
+    return sum(1 for i in range(1, len(w)) if pos[i + 1] < pos[i])
+
+
+def double_descents_loop(w):
+    count = 0
+    for i in range(1, len(w) + 1):
+        left_bigger = i == 1 or w[i - 2] > w[i - 1]
+        right_smaller = i < len(w) and w[i - 1] > w[i]
+        if left_bigger and right_smaller:
+            count += 1
+    return count
+
+
+def is_derangement_loop(w):
+    return all(v != i + 1 for i, v in enumerate(w))
+
+
+def first_ascent_loop(w):
+    for i in range(1, len(w)):
+        if w[i - 1] < w[i]:
+            return i
+    return len(w)
+
+
+def test_statistics_equal_the_position_loops_exhaustive():
+    for n in range(9):
+        for p in all_permutations(n):
+            w = p.word
+            got = (p.des(), p.ides(), p.double_descents(), p.is_derangement(),
+                   p.first_ascent())
+            want = (des_loop(w), ides_loop(w), double_descents_loop(w),
+                    is_derangement_loop(w), first_ascent_loop(w))
+            assert got == want, w
+            assert type(got[3]) is bool
+
+
+def test_enumerated_permutations_are_checked_ones():
+    # all_permutations and separable_permutations skip the constructor's
+    # check; what they yield must be indistinguishable from a checked value.
+    for n in range(8):
+        for make in (all_permutations, separable_permutations):
+            for p in make(n):
+                q = Permutation(p.word)
+                assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+                back = pickle.loads(pickle.dumps(p))
+                assert type(back) is Permutation and back == q and hash(back) == hash(q)
+
+
+@pytest.mark.parametrize("word", [(1, 1), (0, 1), (2, 3)])
+def test_constructor_still_validates(word):
+    with pytest.raises(ValueError, match="^not a permutation of 1..2"):
+        Permutation(word)
