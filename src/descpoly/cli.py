@@ -29,11 +29,11 @@ in full; the library modules keep the caller's setting.
 Each subcommand imports the modules it uses when it runs, so ``--help``
 loads no computational module and ``sweep`` loads only ``nested``,
 ``permutations``, ``words`` and ``value``.  ``verify`` loads ``verify``,
-``families`` and ``polynomials``, and each suite adds its own: ``tables``
-and ``identities`` ``rcindex``, ``trees``, ``words``, ``nested`` and
-``permutations``; ``bijection`` ``bijection``, ``trees``, ``words``,
-``nested`` and ``permutations``; ``conjectures`` ``gessel``, ``realroots``
-and ``permutations``.
+``families``, ``polynomials``, ``errors`` and ``value``, and each suite
+adds its own: ``tables`` and ``identities`` ``rcindex``, ``trees``,
+``words``, ``nested`` and ``permutations``; ``bijection`` ``bijection``,
+``trees``, ``words``, ``nested`` and ``permutations``; ``conjectures``
+``gessel`` and ``realroots``.
 """
 
 from __future__ import annotations

@@ -443,10 +443,7 @@ def verify_series_identity(n: int, order: int) -> bool:
         raise ValueError("need n >= 2 and order >= 1")
     binom_series = IntPolynomial(math.comb(n + j, n) for j in range(order + 1))
     lhs = (derangement_poly(n) * binom_series).truncate(order)
-    rhs = IntPolynomial.zero()
-    for r in range(1, order + 2):
-        rhs = rhs + IntPolynomial.monomial(r - 1, power_tail(r, n))
-    return lhs == rhs.truncate(order)
+    return lhs == IntPolynomial(power_tail(r, n) for r in range(1, order + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from operator import sub
 from .errors import InvariantError
 from .families import separable_gamma
 from .polynomials import IntPolynomial, gamma_decompose
-from .value import Value
+from .value import Value, sorted_get
 
 Grid = dict[tuple[int, int], int]
 
@@ -46,7 +46,7 @@ class BivariatePolynomial(Value):
         return dict(self.coeffs)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
-        return dict(self.coeffs).get(key, 0)
+        return sorted_get(self.coeffs, key)
 
     def is_symmetric(self) -> bool:
         g = self.as_dict()
@@ -92,13 +92,13 @@ def two_var_poly(n: int) -> BivariatePolynomial:
 class GesselGamma(Value):
     __slots__ = ("n", "gammas")
     n: int
-    gammas: tuple[tuple[tuple[int, int], int], ...]   # ((i, j), gamma)
+    gammas: tuple[tuple[tuple[int, int], int], ...]   # ((i, j), gamma), sorted
 
     def as_dict(self) -> Grid:
         return dict(self.gammas)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.as_dict().get(key, 0)
+        return sorted_get(self.gammas, key)
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for _, v in self.gammas)
@@ -109,9 +109,8 @@ class GesselGamma(Value):
         return self[(k, self.n - 1 - 2 * k)]
 
     def dominates_separable_gamma(self) -> bool:
-        g, n = self.as_dict(), self.n
-        gv = separable_gamma(n)
-        return all(g.get((k, n - 1 - 2 * k), 0) >= gv[k] for k in range((n - 1) // 2 + 1))
+        gv = separable_gamma(self.n)
+        return all(self.edge_coefficient(k) >= gv[k] for k in range((self.n - 1) // 2 + 1))
 
 
 def _symmetric_coordinates(grid: Grid) -> dict[tuple[int, int], int]:

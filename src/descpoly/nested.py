@@ -302,6 +302,11 @@ class CheckedTree:
     def __repr__(self) -> str:
         return f"{type(self).__name__}.parse({self._text()!r})"
 
+    def __reduce__(self):
+        # Through the flat text, which ``parse`` checks again: the nested
+        # root would pickle one level per frame, and the memos are not kept.
+        return type(self).parse, (self._text(),)
+
     def _key(self) -> tuple:
         # The in-order labels and the post-order of the in-order ids fix the
         # tree.  Both are flat, where the C-level == and hash of the nested

@@ -44,7 +44,7 @@ from typing import Mapping, Union
 
 from .errors import ResourceCapError
 from .polynomials import IntPolynomial
-from .value import Value
+from .value import Value, sorted_get
 
 NCMonomial = tuple[int, ...]
 
@@ -67,6 +67,11 @@ def format_monomial(factors: NCMonomial) -> str:
     return "".join(f"c_{v}" + (f"^{m}" if m > 1 else "") for v, m in runs)
 
 
+def _display_order(factors: NCMonomial) -> tuple:
+    """More factors first, lexicographic within a count."""
+    return -len(factors), factors
+
+
 class RCIndex(Value):
     """Multiset of chain-length monomials over the C_{n-1} shape classes."""
 
@@ -75,14 +80,13 @@ class RCIndex(Value):
     terms: tuple[tuple[NCMonomial, int], ...]
 
     def __init__(self, n: int, terms: Mapping[NCMonomial, int]):
-        # Display order: more factors first, lexicographic within a count.
-        super().__init__(n, tuple(sorted(terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))))
+        super().__init__(n, tuple(sorted(terms.items(), key=lambda kv: _display_order(kv[0]))))
 
     def as_dict(self) -> dict[NCMonomial, int]:
         return dict(self.terms)
 
     def multiplicity(self, factors: NCMonomial) -> int:
-        return self.as_dict().get(tuple(factors), 0)
+        return sorted_get(self.terms, tuple(factors), _display_order)
 
     def class_count(self) -> int:
         return sum(m for _, m in self.terms)

@@ -377,6 +377,11 @@ class TreeShape(Value):
     def __repr__(self) -> str:
         return f"<TreeShape {self.key()}>"
 
+    def __reduce__(self):
+        # Through the flat key, as the nested structure would pickle and
+        # copy one level per frame.
+        return _shape_of_key, (self.key(),)
+
     def _index(self) -> Index:
         return index(self.structure, 0)
 
@@ -422,6 +427,15 @@ class TreeShape(Value):
                     labels[v] = label
                     label = _FLIP[label]
             yield DiskTree._from_index(ix._replace(nodes=rebuild(ix, labels)))
+
+
+def _shape_of_key(key: str) -> TreeShape:
+    """The shape with the preorder bits ``key``, built without recursion:
+    read backwards, a ``1`` joins the two subtrees last built."""
+    stack: list = []
+    for bit in reversed(key):
+        stack.append(None if bit == "0" else (stack.pop(), stack.pop()))
+    return TreeShape(stack[0])
 
 
 def word_to_tree(w: SchroderWord) -> DiskTree:

@@ -12,9 +12,20 @@ what a frozen dataclass would, without generating code at import time:
   passes its fields to the base's, or sets them with
   ``object.__setattr__``);
 * pickling and copying.
+
+``sorted_get`` reads one key from a field of (key, value) pairs kept
+sorted, as the polynomial grids and the rc-index keep theirs.
 """
 
+from bisect import bisect_left
 from operator import attrgetter
+
+
+def sorted_get(pairs: tuple, key, order=lambda key: key):
+    """The value paired with ``key`` in ``pairs``, which are sorted by
+    ``order`` of their keys, or 0 when the key is absent."""
+    i = bisect_left(pairs, order(key), key=lambda pair: order(pair[0]))
+    return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else 0
 
 
 class Value:

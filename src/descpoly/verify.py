@@ -58,7 +58,7 @@ D7_CIRCULATED_T2 = 382
 # The n at which each search case of the bijection first appears.
 CASE_FIRST_SEEN = {"I": 3, "1": 3, "II": 5, "V": 5, "2": 5, "3": 5, "5": 5,
                    "III": 6, "VI": 7, "4": 7, "6": 7, "IV": 8}
-# Depths of the conjectures suite's Sturm counts and Gessel expansions.
+# Depths of the conjectures suite's palindromy and Sturm checks and its Gessel grids.
 ROOTS_MAX_N = 12
 GESSEL_MAX_N = 7
 PHI_TABLE = {
@@ -192,16 +192,15 @@ def tables_suite() -> VerificationReport:
                 count, sum(1 for _ in enumerate_words(n)))
         s.check(f"tables.count.trees.{n}", f"di-sk trees for n={n}",
                 count, sum(1 for _ in enumerate_trees(n)))
-    for n in range(1, 8):
         s.check(f"tables.count.separable.{n}", f"separable permutations of {n}",
-                SCHRODER[n - 1], sum(1 for _ in separable_permutations(n)))
+                count, sum(1 for _ in separable_permutations(n)))
     for n in range(1, 11):
+        chain_counts = [sh.r for sh in enumerate_shapes(n)]
         s.check(f"tables.count.shapes.{n:02d}", f"shape classes for n={n}",
-                families.catalan(n - 1), sum(1 for _ in enumerate_shapes(n)))
+                families.catalan(n - 1), len(chain_counts))
         s.check(f"tables.count.orbit-sum.{n:02d}",
                 f"sum of 2^r over shapes equals the Schröder number, n={n}",
-                SCHRODER[n - 1],
-                sum(2**sh.r for sh in enumerate_shapes(n)))
+                SCHRODER[n - 1], sum(2**r for r in chain_counts))
     return s
 
 
@@ -266,20 +265,22 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
 def identities_suite(max_n: int = 8) -> VerificationReport:
     """Sum rules, recurrences vs enumeration, generating function checks.
 
-    Enumeration-backed checks are clamped to the brute-force cap; the
-    recurrence-only checks honor max_n directly.
+    Only the enumeration-backed checks follow max_n, clamped at
+    ``BRUTE_FORCE_CAP``; the series, cubic, rc-index and gamma-shapes
+    checks run at fixed ranges.
     """
     from . import rcindex
     from .permutations import all_permutations
 
     s = VerificationReport("identities")
     enum_n = min(max_n, families.BRUTE_FORCE_CAP)
-    add_n = min(max_n, 8)
+    members = (("S", families.separable_poly), ("D", families.derangement_poly),
+               ("A", families.eulerian_poly))
     ok_add = True
-    for total in range(2, add_n + 1):
-        for a in range(1, total):
+    for n in range(1, enum_n + 1):
+        for a in range(1, n):
             for p in all_permutations(a):
-                for q in all_permutations(total - a):
+                for q in all_permutations(n - a):
                     d = p.direct_sum(q)
                     k = p.skew_sum(q)
                     if not (
@@ -289,20 +290,28 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
                         and k.ides() == p.ides() + q.ides() + 1
                     ):
                         ok_add = False
+        for name, member in members:
+            s.check(f"identities.method.{name}.{n}",
+                    f"{name} recurrence equals enumeration, n={n}",
+                    member(n, "enum"), member(n))
+        if n >= 2:
+            s.check(f"identities.desarrangement.{n}",
+                    f"inverse-descent histogram over desarrangements is D_{n}",
+                    families.derangement_poly(n), families.desarrangement_histogram(n))
+        ks = range((n - 1) // 2 + 1)
+        gamma, histogram = families.separable_gamma(n), families.separable_gamma_histogram(n)
+        s.check(f"identities.gamma-perms.{n}",
+                f"gamma counts no-double-descent separable permutations, n={n}",
+                tuple(gamma[k] for k in ks), tuple(histogram[k] for k in ks))
+        s.check(f"identities.split.{n}", f"root-label split recurrences, n={n}",
+                families.separable_split_enum(n), families.separable_split(n))
     s.check_true("identities.sum-statistics",
-                 f"descent/inverse-descent additivity of the two sums, n<={add_n}",
+                 f"descent/inverse-descent additivity of the two sums, n<={enum_n}",
                  ok_add)
     for n in range(2, 11):
         s.check_true(f"identities.series.{n:02d}",
                      f"rational generating identity for derangements, n={n}, order 12",
                      families.verify_series_identity(n, 12))
-    for n in range(1, enum_n + 1):
-        s.check(f"identities.method.S.{n}", f"S recurrence equals enumeration, n={n}",
-                families.separable_poly(n, "enum"), families.separable_poly(n))
-        s.check(f"identities.method.D.{n}", f"D recurrence equals enumeration, n={n}",
-                families.derangement_poly(n, "enum"), families.derangement_poly(n))
-        s.check(f"identities.method.A.{n}", f"A recurrence equals enumeration, n={n}",
-                families.eulerian_poly(n, "enum"), families.eulerian_poly(n))
     residual = families.cubic_equation_residual(10)
     s.check_true("identities.cubic",
                  "cubic functional equation residual vanishes through z^10",
@@ -317,33 +326,17 @@ def identities_suite(max_n: int = 8) -> VerificationReport:
                 f"rc-index substitution recovers S_{n}",
                 families.separable_poly(n), ri.substitute_ab())
     for n in range(1, 11):
-        gv = families.separable_gamma(n)
-        shape_sum = tuple(
-            rcindex.gamma_from_shapes(n, k) for k in range((n - 1) // 2 + 1)
-        )
-        expected = tuple(gv[k] for k in range((n - 1) // 2 + 1))
+        ks = range((n - 1) // 2 + 1)
+        gamma = families.separable_gamma(n)
         s.check(f"identities.gamma-shapes.{n:02d}",
                 f"shape-weighted sum gives the gamma vector, n={n}",
-                expected, shape_sum)
-    for n in range(2, enum_n + 1):
-        s.check(f"identities.desarrangement.{n}",
-                f"inverse-descent histogram over desarrangements is D_{n}",
-                families.derangement_poly(n), families.desarrangement_histogram(n))
-    for n in range(1, enum_n + 1):
-        s.check(f"identities.gamma-perms.{n}",
-                f"gamma counts no-double-descent separable permutations, n={n}",
-                tuple(families.separable_gamma(n)[k] for k in range((n - 1) // 2 + 1)),
-                tuple(families.separable_gamma_histogram(n)[k] for k in range((n - 1) // 2 + 1)))
-    for n in range(1, enum_n + 1):
-        split = families.separable_split(n)
-        s.check(f"identities.split.{n}", f"root-label split recurrences, n={n}",
-                families.separable_split_enum(n), split)
+                tuple(gamma[k] for k in ks), tuple(rcindex.gamma_from_shapes(n, k) for k in ks))
     return s
 
 
 def conjectures_suite(max_n: int = 40) -> VerificationReport:
-    """Evidence runs: spiral interleaving to max_n, real-rootedness to
-    ``ROOTS_MAX_N``, gamma grids to ``GESSEL_MAX_N``.
+    """Evidence runs: spiral interleaving to max_n, S palindromy and
+    real-rootedness to ``ROOTS_MAX_N``, gamma grids to ``GESSEL_MAX_N``.
 
     Everything here is evidence at the stated ranges, not proof.
     """
@@ -369,16 +362,14 @@ def conjectures_suite(max_n: int = 40) -> VerificationReport:
                      f"derangement and complement polynomials unimodal, n={n}",
                      is_unimodal(families.derangement_poly(n))
                      and is_unimodal(families.complement_poly(n)))
-    for n in range(2, 13):
+    for n in range(2, ROOTS_MAX_N + 1):
         sn = families.separable_poly(n)
         s.check_true(f"conjectures.palindromic.S.{n:02d}",
                      f"S_{n} palindromic and unimodal",
                      is_palindromic(sn, n - 1) and is_unimodal(sn))
-    for n in range(2, ROOTS_MAX_N + 1):
         s.check_true(f"conjectures.real-rooted.{n:02d}",
                      f"S_{n} and D_{n} real-rooted (evidence)",
-                     is_real_rooted(families.separable_poly(n))
-                     and is_real_rooted(families.derangement_poly(n)))
+                     is_real_rooted(sn) and is_real_rooted(families.derangement_poly(n)))
     for n in range(2, GESSEL_MAX_N + 1):
         g = gessel_gamma(n)
         s.check_true(f"conjectures.gessel.{n}",

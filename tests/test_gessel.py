@@ -205,3 +205,15 @@ def test_default_conjectures_report_is_pinned():
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout).hexdigest() == (
         "63f84353c8004e4c5aea78d7adfe8d3840386422457dcfb9b520a5c78f9f95d2")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_keyed_lookups_equal_the_dict(n):
+    # present keys, and absent ones inside and around the grid
+    keys = [(a, b) for a in range(-1, n + 2) for b in range(-1, n + 2)]
+    grid = two_var_poly(n)
+    assert [grid[key] for key in keys] == [grid.as_dict().get(key, 0) for key in keys]
+    g = gessel_gamma(n)
+    assert [g[key] for key in keys] == [g.as_dict().get(key, 0) for key in keys]
+    assert ([g.edge_coefficient(k) for k in range(-1, n + 1)]
+            == [g.as_dict().get((k, n - 1 - 2 * k), 0) for k in range(-1, n + 1)])

@@ -172,3 +172,13 @@ def test_grouped_substitution_equals_the_per_factor_product():
                   {(2,): 1, (1, 1): -1, (1, 1, 0): 1}, {}):
         idx = RCIndex(6, terms)
         assert idx.substitute_ab() == _substitute_per_factor(idx), terms
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_multiplicity_equals_the_dict(n):
+    idx = rc_index(n)
+    present = list(idx.as_dict())
+    absent = [f + (1,) for f in present] + [f[1:] for f in present] + [(0,), (n,), ()]
+    for factors in present + absent:
+        assert idx.multiplicity(factors) == idx.as_dict().get(factors, 0), factors
+        assert idx.multiplicity(list(factors)) == idx.multiplicity(factors)

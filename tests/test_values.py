@@ -26,6 +26,7 @@ from descpoly.polynomials import GammaVector, IntPolynomial, gamma_decompose
 from descpoly.rcindex import RCIndex
 from descpoly.trees import DiskTree, TreeShape
 from descpoly.verify import CheckRecord, VerificationReport
+from descpoly.words import SchroderWord
 
 TREE = "(+ (- _ _) (- _ _))"
 
@@ -180,6 +181,40 @@ def test_pickle_and_copy_keep_the_value(name, make, text, fields):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == text
+
+
+def _left_comb(depth: int, node):
+    root = None
+    for _ in range(depth):
+        root = node(root)
+    return root
+
+
+# Trees at a depth where the nested root itself would pickle or copy one
+# level per frame, past the recursion limit, and the empty trees.
+DEEP = {
+    "DiskTree": lambda depth: DiskTree(_left_comb(depth, lambda t: ("+", t, None))),
+    "SchroderWord": lambda depth: SchroderWord(_left_comb(depth, lambda t: ("-", t, None))),
+    "TreeShape": lambda depth: TreeShape(_left_comb(depth, lambda t: (None, t))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+@pytest.mark.parametrize("depth", [0, 3000])
+def test_pickle_and_copy_at_any_depth(name, depth):
+    value = DEEP[name](depth)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+def test_pickled_tree_leaves_its_memos_behind():
+    used = DiskTree.parse(TREE)
+    used.right_chains()
+    assert pickle.dumps(used) == pickle.dumps(DiskTree.parse(TREE))
+    twin = pickle.loads(pickle.dumps(used))
+    assert twin.right_chains() == used.right_chains()
 
 
 def test_verification_report_is_mutable_and_unhashable():

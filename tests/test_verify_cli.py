@@ -428,6 +428,12 @@ def test_cli_verify_json(capsys):
      "71a78cda9162462712a6cb66a7806e8f85860e16a5af5fda5ba868cbf1afd0d5"),
     ("--format json verify bijection --max-n 8",
      "cf3667a8f67aaff5968417e35b5a6fa49fc3e1e1d3e1902d42905b69c0820197"),
+    ("--format json verify identities",
+     "e798f4b17ac9139b613b7c47183d04c9945db9a3e95af5cd229732ba9c7c8463"),
+    ("--format json verify identities --max-n 2",
+     "5bcf13b6606cc5fece5965e105324c7459ef42c4b0e02df6a4b0ea14463ed3c3"),
+    ("--format json verify conjectures --max-n 3",
+     "b9e7ed11d94087b91a6316224b1862d829a3eff54fbf0cfe0d3fd8756e76f00d"),
 ])
 def test_cli_verify_report_is_pinned(argv, digest):
     result = subprocess.run([sys.executable, "-m", "descpoly", *argv.split()],
