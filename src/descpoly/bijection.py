@@ -306,6 +306,7 @@ class SurgeryOp(NamedTuple):
 
 def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
     """Apply cut-and-paste moves; each cut node keeps its left subtree."""
+    labels = [None, *tree.labels()]
     ix = tree._index()
     if not ix.post:
         return tree  # empty tree, nothing to do
@@ -341,7 +342,7 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
         if right[v]:
             order.append(right[v])
     order.reverse()
-    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order))[root])
+    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order), labels)[root])
 
 
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:

@@ -139,19 +139,13 @@ def check(root: Node, error: type[Exception]) -> Index:
     return ix
 
 
-def rebuild(ix: Index, labels: Sequence | None = None) -> list:
+def rebuild(ix: Index, labels: Sequence) -> list:
     """Fresh triples of the same shape; entry i is the subtree of id i
-    (entry 0 is None).  Node i keeps its label, or takes ``labels[i]``
-    when ``labels`` is given."""
+    (entry 0 is None), and node i takes the label ``labels[i]``."""
     left, right = ix.left, ix.right
     out = [None] * len(left)
-    if labels is None:
-        nodes = ix.nodes
-        for v in ix.post:
-            out[v] = (nodes[v][0], out[left[v]], out[right[v]])
-    else:
-        for v in ix.post:
-            out[v] = (labels[v], out[left[v]], out[right[v]])
+    for v in ix.post:
+        out[v] = (labels[v], out[left[v]], out[right[v]])
     return out
 
 

@@ -28,7 +28,7 @@ class Permutation(Value):
 
     def __init__(self, word: Iterable[int]):
         w = tuple(word)
-        if sorted(w) != list(range(1, len(w) + 1)):
+        if set(map(type, w)) - {int} or sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
         object.__setattr__(self, "word", w)
 

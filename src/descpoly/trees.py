@@ -484,10 +484,9 @@ def enumerate_shapes(n: int) -> Iterator[TreeShape]:
 @lru_cache(maxsize=None)
 def _gen_trees(m: int) -> tuple[tuple[Node, ...], tuple[int, ...]]:
     """The di-sk tree roots on m nodes, and each root's number of ``-``
-    labels.  The ``+``-rooted trees fill the first half and the
-    ``-``-rooted ones the second: flipping every label pairs the halves.
-    So a right child, which must not repeat its parent's label, comes from
-    the other half of its order, or is empty."""
+    labels.  Each label in turn roots every left subtree with every right
+    subtree that does not repeat it, the rule ``nested.check`` holds
+    trees to."""
     if m == 0:
         return (None,), (0,)
     roots: list[Node] = []
@@ -496,14 +495,12 @@ def _gen_trees(m: int) -> tuple[tuple[Node, ...], tuple[int, ...]]:
         for i in range(m):
             lefts, left_counts = _gen_trees(i)
             rights, right_counts = _gen_trees(m - 1 - i)
-            if i < m - 1:
-                half = len(rights) // 2
-                cut = slice(half, None) if lab == PLUS else slice(half)
-                rights, right_counts = rights[cut], right_counts[cut]
             for left, left_count in zip(lefts, left_counts):
-                roots += [(lab, left, right) for right in rights]
                 base = own + left_count
-                counts += [base + c for c in right_counts]
+                for right, right_count in zip(rights, right_counts):
+                    if right is None or right[0] != lab:
+                        roots.append((lab, left, right))
+                        counts.append(base + right_count)
     return tuple(roots), tuple(counts)
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .nested import MINUS, PLUS, CheckedTree, Index, Node, sizes
+from .nested import LABELS, MINUS, PLUS, CheckedTree, Index, Node, sizes
 from .permutations import (
     PATTERN_2413,
     PATTERN_3142,
@@ -194,12 +194,11 @@ def _gen_exprs(n: int) -> tuple[Node, ...]:
         return (None,)
     out: list[Node] = []
     for i in range(1, n):
+        lefts = _gen_exprs(i)
         for right in _gen_exprs(n - i):
-            # The right operand may not repeat the operator at its root.
-            allowed = (PLUS, MINUS)
-            if right is not None:
-                allowed = (MINUS,) if right[0] == PLUS else (PLUS,)
-            for left in _gen_exprs(i):
-                for op in allowed:
-                    out.append((op, left, right))
+            for left in lefts:
+                for op in LABELS:
+                    # The right operand may not repeat the operator at its root.
+                    if right is None or right[0] != op:
+                        out.append((op, left, right))
     return tuple(out)

@@ -205,6 +205,17 @@ def test_public_names_are_the_old_ones():
     assert set(OLD_NAMES) <= set(dir(descpoly))
 
 
+def test_the_benchmark_worker_imports_only_public_names():
+    # Read, not imported: importing the worker would start its clock.
+    worker = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    tree = ast.parse(worker.read_text(encoding="utf-8"), filename=str(worker))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "descpoly"
+             for alias in node.names]
+    assert len(names) > 10
+    assert sorted(set(names) - set(descpoly.__all__)) == []
+
+
 @pytest.mark.parametrize("module", sorted(OLD_HOMES))
 def test_each_name_is_the_object_at_its_old_home(module):
     home = importlib.import_module(f"descpoly.{module}")

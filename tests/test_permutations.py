@@ -281,3 +281,10 @@ def test_enumerated_permutations_are_checked_ones():
 def test_constructor_still_validates(word):
     with pytest.raises(ValueError, match="^not a permutation of 1..2"):
         Permutation(word)
+
+
+@pytest.mark.parametrize("word", [(1.0, 2.0), (1, 2.0), (True, 2), (2, True), ("1", "2")])
+def test_constructor_refuses_entries_that_are_not_ints(word):
+    # 1.0 and True sort, compare and hash like 1, but print otherwise.
+    with pytest.raises(ValueError, match="^not a permutation of 1..2"):
+        Permutation(word)

@@ -1,12 +1,14 @@
 """Di-sk trees: chain views, flips, shapes, conversions, serialization."""
 
+import hashlib
 import itertools
 import json
 from functools import lru_cache
 
 import pytest
 
-from descpoly.families import catalan, separable_poly
+from descpoly.families import catalan, schroder_number, separable_poly
+from descpoly.nested import check
 from descpoly.permutations import identity, parse_permutation, separable_permutations
 from descpoly.trees import (
     DiskTree,
@@ -446,6 +448,36 @@ def test_enumeration_matches_the_reference_generator():
         half = len(roots) // 2
         assert 2 * half == len(roots)
         assert all(r[0] == "+" for r in roots[:half]) and all(r[0] == "-" for r in roots[half:])
+
+
+def test_generation_orders_are_pinned():
+    # The census benchmark prints enumerate_trees(7) and enumerate_words(8)
+    # in generation order, so the orders themselves, and every bucket's,
+    # are pinned by the SHA-256 of their text forms.
+    trees, buckets, words = [], [], []
+    for n in range(1, 10):
+        trees += [f"n={n}", *(t.to_text() for t in enumerate_trees(n))]
+        words += [f"n={n}", *(str(w) for w in enumerate_words(n))]
+        for k in range(n):
+            buckets += [f"n={n} k={k}", *(t.to_text() for t in enumerate_trees(n, n_minus=k))]
+    digests = [hashlib.sha256("\n".join(lines).encode()).hexdigest()
+               for lines in (trees, buckets, words)]
+    assert digests == [
+        "069fd9efade5b1c756f168f7e04e3af75d3ba292f1a63840d5fb6a19e77b1a99",
+        "42e6651f14bbf3c1dd11a35cd1bc534e63eb45e932c0dd07b50bf9bab4bc6c0a",
+        "b93c3d0a97faa2f25aaf39cdcc92bc0a432efe356b8b1651721ef902cbe648cd",
+    ]
+
+
+def test_words_and_trees_enumerate_one_set_of_checked_roots():
+    # The two generators build one set of triples, in two orders, and
+    # every triple passes the one check that words and trees share.
+    for n in range(1, 9):
+        roots = [t.root for t in enumerate_trees(n)]
+        assert set(roots) == {w.expr for w in enumerate_words(n)}
+        assert len(set(roots)) == len(roots) == schroder_number(n)
+        for root in roots:
+            check(root, InvalidTreeError)
 
 
 def test_bucket_sizes_are_the_descent_polynomial():
