@@ -11,9 +11,10 @@ All polynomials live in exact integer arithmetic:
 * ``gamma_poly(n)``        - the gamma polynomial of S_n(t) in x.
 
 S_n, its root-label split and Gamma_n come in closed form by Lagrange
-inversion, one order at a time.  D_n, A_n and the complement follow a
-coefficient recurrence that asks for the orders below n in increasing
-order, so the recursion stays a few calls deep at any n.  The enumeration
+inversion, one order at a time.  D_n and A_n follow one coefficient
+recurrence from order 0, the empty permutation, that asks for the orders
+below n in increasing order, so the recursion stays a few calls deep at
+any n; the complement is read as A_n - D_n.  The enumeration
 methods recompute small cases from scratch as independent oracles, up to
 ``BRUTE_FORCE_CAP``; each oracle over permutations is a histogram over the
 permutations of n that one predicate admits.
@@ -248,12 +249,11 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
 # D_n(t), A_n(t) and the complement
 
 
-def _descent_recurrence(member, n: int, first: IntPolynomial, top: int) -> IntPolynomial:
+def _descent_recurrence(member, n: int, top: int) -> IntPolynomial:
     """c(n, k) = (k + 1) c(n-1, k) + (n - k) c(n-1, k-1) for k < n, plus
-    ``top`` at k = n - 1, where ``member(m)`` is the family's order m and
-    ``first`` its order 1."""
-    if n == 1:
-        return first
+    ``top`` at k = n - 1, where ``member(m)`` is the family's order m;
+    order 0, the empty permutation, is 1."""
+    prev = IntPolynomial.one()
     for m in range(1, n):
         prev = member(m)
     c = (0,) + prev.coeffs + (0,) * (n - len(prev.coeffs))  # c[k + 1] = c(n-1, k)
@@ -274,7 +274,7 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """
     if _by_enumeration(n, method):
         return _descent_histogram(n, lambda p: p.is_derangement())
-    return _descent_recurrence(derangement_poly, n, IntPolynomial.zero(), (-1) ** n)
+    return _descent_recurrence(derangement_poly, n, (-1) ** n)
 
 
 @lru_cache(maxsize=None)
@@ -286,18 +286,16 @@ def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """
     if _by_enumeration(n, method):
         return _descent_histogram(n)
-    return _descent_recurrence(eulerian_poly, n, IntPolynomial.one(), 0)
+    return _descent_recurrence(eulerian_poly, n, 0)
 
 
-@lru_cache(maxsize=None)
 def complement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of non-derangements (permutations with a fixed
-    point); equals A_n - D_n and satisfies the recurrence of A_n with the
-    extra term (-t)^(n-1).
+    point), read as A_n - D_n; ``"enum"`` counts them directly.
     """
     if _by_enumeration(n, method):
         return _descent_histogram(n, lambda p: not p.is_derangement())
-    return _descent_recurrence(complement_poly, n, IntPolynomial.one(), (-1) ** (n - 1))
+    return eulerian_poly(n) - derangement_poly(n)
 
 
 def eulerian_gamma(n: int) -> GammaVector:

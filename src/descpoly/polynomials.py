@@ -18,6 +18,8 @@ unimodal.
 
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .value import Value
@@ -90,19 +92,15 @@ class IntPolynomial(Value):
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return IntPolynomial(out)
+        return IntPolynomial(starmap(add, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return IntPolynomial(starmap(sub, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):

@@ -208,24 +208,30 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
     """Round trips, statistic transport, family counts, inverse maps."""
     from .bijection import bijection_certificate, classify, order_independence_certificate
     from .permutations import separable_permutations
-    from .trees import enumerate_trees, word_to_tree
+    from .trees import enumerate_trees, perm_to_tree
     from .words import enumerate_words, sweep, word_to_perm
 
     s = VerificationReport("bijection")
     cases_seen: set[str] = set()
     ok_order = True
     for n in range(1, max_n + 1):
-        ok_round = True
-        ok_stat = True
-        for p in separable_permutations(n):
-            w = sweep(p)
-            if word_to_perm(w) != p:
-                ok_round = False
-            t = word_to_tree(w)
-            if not (
-                w.minus_positions() == p.descent_set() == t.minus_positions()
-            ):
-                ok_stat = False
+        perms = list(separable_permutations(n))
+        words = [sweep(p) for p in perms]
+        trees = list(enumerate_trees(n))
+        tree_perms = [t.to_perm() for t in trees]
+        ok_round = all(word_to_perm(w) == p for w, p in zip(words, perms))
+        ok_stat = (all(w.minus_positions() == p.descent_set() for w, p in zip(words, perms))
+                   and all(p.descent_set() == t.minus_positions()
+                           for p, t in zip(tree_perms, trees)))
+        # every tree comes back from its permutation, and the trees'
+        # permutations are the separable ones, each once
+        ok_tree = (all(perm_to_tree(p) == t for p, t in zip(tree_perms, trees))
+                   and Counter(tree_perms) == Counter(perms))
+        for t in trees:
+            m = classify(t)
+            if m.in_dt1 != m.in_dt2 and not order_independence_certificate(
+                    t, trials=10, seed=n):
+                ok_order = False
         s.check_true(f"bijection.roundtrip.perm.{n}",
                      f"sweep then rebuild is the identity, n={n}", ok_round)
         s.check_true(f"bijection.statistic.{n}",
@@ -235,22 +241,14 @@ def bijection_suite(max_n: int = 8) -> VerificationReport:
         )
         s.check_true(f"bijection.roundtrip.word.{n}",
                      f"rebuild then sweep is the identity, n={n}", ok_word)
-        ok_tree = True
-        for t in enumerate_trees(n):
-            if word_to_tree(t.to_word()) != t:
-                ok_tree = False
-            m = classify(t)
-            if m.in_dt1 != m.in_dt2 and not order_independence_certificate(
-                    t, trials=10, seed=n):
-                ok_order = False
         s.check_true(f"bijection.roundtrip.tree.{n}",
                      f"tree/word conversion round trip, n={n}", ok_tree)
+        gamma = families.separable_gamma(n)
         for k in range((n - 1) // 2 + 1):
             cert = bijection_certificate(n, k)
-            gamma_k = families.separable_gamma(n)[k]
             s.check(f"bijection.family-count.{n}.{k}",
                     f"family sizes equal gamma_{{{n},{k}}}",
-                    (gamma_k, gamma_k, True),
+                    (gamma[k], gamma[k], True),
                     (cert["dt1_count"], cert["dt2_count"], cert["bijection_ok"]))
             cases_seen.update(cert["case_histogram"])
     s.check("bijection.case-coverage",

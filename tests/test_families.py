@@ -105,6 +105,8 @@ def test_derangement_degree_and_leading_facts():
 
 
 def test_eulerian_and_complement():
+    assert derangement_poly(1) == IntPolynomial.zero()
+    assert eulerian_poly(1) == complement_poly(1) == IntPolynomial.one()
     assert eulerian_poly(2) == IntPolynomial((1, 1))
     assert eulerian_poly(4) == IntPolynomial((1, 11, 11, 1))
     for n in range(1, 11):
@@ -148,8 +150,8 @@ def test_gamma_poly_three_ways():
 
 
 # Orders above the recursion limit, in an interpreter whose memo tables
-# start empty: the closed forms ask for no lower order, and the complement
-# recurrence must keep its memo misses shallow.
+# start empty: the closed forms ask for no lower order, and the complement,
+# read as A - D, must keep the memo misses of both recurrences shallow.
 _ABOVE_A_LOW_RECURSION_LIMIT = """
 import json, sys
 from descpoly.families import complement_poly, gamma_poly, separable_poly, separable_split
@@ -254,17 +256,19 @@ def test_schroder_number_recurrence():
 
 def test_coefficient_recurrences_match_the_derivative_form():
     # A_n = (1 + (n-1)t) A_{n-1} + t(1-t) A'_{n-1}, and the complement
-    # adds (-t)^(n-1) to the same operator.
+    # adds (-t)^(n-1) to the same operator; checked through the orders
+    # the benchmark reads, since the library reads the complement as A - D.
     t = IntPolynomial.t()
 
     def step(p, n):
         return IntPolynomial((1, n - 1)) * p + t * (IntPolynomial.one() - t) * p.derivative()
 
     a = c = IntPolynomial.one()
-    for n in range(2, 61):
+    for n in range(2, 301):
         a, c = step(a, n), step(c, n) + IntPolynomial.monomial(n - 1, (-1) ** (n - 1))
         assert eulerian_poly(n) == a and complement_poly(n) == c, n
         assert a - c == derangement_poly(n), n
+        assert c(1) == math.factorial(n) - derangement_count(n), n
 
 
 def test_split_convention_and_agreement():

@@ -62,8 +62,9 @@ def test_truncate_below_order_zero_is_the_zero_polynomial():
 
 def test_arithmetic_with_a_non_polynomial_is_a_type_error():
     p = IntPolynomial((1, 2))
-    for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p * 1.5,
-               lambda: 1.5 * p, lambda: p + "t", lambda: p * None):
+    for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: 1 - p,
+               lambda: p - None, lambda: p * 1.5, lambda: 1.5 * p, lambda: p + "t",
+               lambda: p * None):
         with pytest.raises(TypeError):
             op()
     assert p * 3 == 3 * p == IntPolynomial((3, 6))

@@ -570,6 +570,30 @@ def test_bijection_suite_passes_below_n_8(max_n):
         case for case, first in CASE_FIRST_SEEN.items() if first <= max_n))
 
 
+def test_bijection_suite_tree_round_trip_fails_on_a_duplicated_tree(monkeypatch):
+    # One enumerated tree replaced by a copy of another: each tree still
+    # comes back from its own permutation, but the trees' permutations are
+    # no longer the separable ones, each once.
+    import descpoly.trees as trees
+
+    enumerate_trees = trees.enumerate_trees
+
+    def corrupted(n, n_minus=None):
+        out = list(enumerate_trees(n, n_minus))
+        if n_minus is None and len(out) > 1:
+            out[1] = out[0]
+        return iter(out)
+
+    def tree_records(report):
+        return {r.id: r.status for r in report.records if ".roundtrip.tree." in r.id}
+
+    expected = {f"bijection.roundtrip.tree.{n}": "pass" for n in range(1, 6)}
+    assert tree_records(verify_suite("bijection", 5)) == expected
+    monkeypatch.setattr(trees, "enumerate_trees", corrupted)
+    expected.update({f"bijection.roundtrip.tree.{n}": "fail" for n in range(2, 6)})
+    assert tree_records(verify_suite("bijection", 5)) == expected
+
+
 def test_verify_bijection_json_is_the_same_under_two_hash_seeds():
     outputs = []
     for seed in ("1", "2"):
