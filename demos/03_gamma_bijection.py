@@ -20,7 +20,7 @@ from descpoly import (
 tree = DiskTree.parse("(- (+ _ _) _)")
 print("source tree:", tree.to_text())
 m = classify(tree)
-print(f"  family two: {m.in_dt2}, family one: {m.in_dt1}, k = {m.k}")
+print(f"  family two: {m.in_dt2}, family one: {m.in_dt1}, n_minus = {m.n_minus}")
 image = psi(tree)
 print("psi image:  ", image.to_text())
 print("phi returns:", phi(image).to_text())

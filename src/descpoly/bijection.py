@@ -56,7 +56,6 @@ class Violation(NamedTuple):
 
 class GammaFamilyMembership(NamedTuple):
     n: int
-    k: int
     n_minus: int
     in_dt1: bool
     in_dt2: bool
@@ -65,9 +64,9 @@ class GammaFamilyMembership(NamedTuple):
 
     @property
     def odd_chain_excess(self) -> int:
-        """r_odd minus its family-one value (n - 1 - 2k); even and positive
-        on family two minus family one."""
-        return self.r_odd - (self.n - 1 - 2 * self.k)
+        """r_odd minus its family-one value (n - 1 - 2k at k = n_minus);
+        even and positive on family two minus family one."""
+        return self.r_odd - (self.n - 1 - 2 * self.n_minus)
 
 
 def family_two_violations(tree: DiskTree) -> tuple[Violation, ...]:
@@ -90,24 +89,25 @@ def family_one_violations(tree: DiskTree) -> tuple[Violation, ...]:
     )
 
 
-def classify(tree: DiskTree, k: Optional[int] = None) -> GammaFamilyMembership:
-    """Membership of the tree in the two gamma families at minus-count k.
+def classify(tree: DiskTree) -> GammaFamilyMembership:
+    """Membership of the tree in the two gamma families at its own minus
+    count k = ``tree.n_minus()``.
 
     Family one is read off the chain walk ``tree.chain_nodes()`` (chain
     starts and lengths) and family two off the labels alone; neither needs
     the levels, groups and attachments of ``right_chains``.
+
+    >>> m = classify(DiskTree.parse("(- (+ _ _) _)"))
+    >>> m.n_minus, m.in_dt1, m.in_dt2, m.odd_chain_excess
+    (1, False, True, 2)
     """
-    n_minus = tree.n_minus()
-    if k is None:
-        k = n_minus
     v1 = family_one_violations(tree)
     v2 = family_two_violations(tree)
     membership = GammaFamilyMembership(
         n=tree.n,
-        k=k,
-        n_minus=n_minus,
-        in_dt1=(n_minus == k and not v1),
-        in_dt2=(n_minus == k and not v2),
+        n_minus=tree.n_minus(),
+        in_dt1=not v1,
+        in_dt2=not v2,
         violations=v1 + v2,
         r_odd=sum(len(nodes) % 2 for nodes in tree.chain_nodes()),
     )
@@ -378,33 +378,31 @@ def phi_plan(tree: DiskTree) -> list[SurgeryOp]:
     return ops
 
 
-def _apply_checked(tree: DiskTree, ops: list[SurgeryOp], n_minus: int,
-                   to_family_one: bool) -> DiskTree:
-    """Apply a map's plan and check that the image lands in the other
-    family with the same minus count."""
-    result = apply_ops(tree, ops)
-    out = classify(result)
-    lands = out.in_dt1 if to_family_one else out.in_dt2
-    _ensure(lands and out.n_minus == n_minus,
+def _map(tree: DiskTree, to_family_one: bool) -> tuple[DiskTree, list[SurgeryOp]]:
+    """Apply psi's plan (``to_family_one``) or phi's, check that the image
+    lands in the other family with the same minus count, and return the
+    image with the moves."""
+    ops = (psi_plan if to_family_one else phi_plan)(tree)
+    image = apply_ops(tree, ops)
+    out = classify(image)
+    _ensure((out.in_dt1 if to_family_one else out.in_dt2) and out.n_minus == tree.n_minus(),
             "psi lands in family one" if to_family_one else "phi lands in family two",
-            tree, result)
-    return result
+            tree, image)
+    return image, ops
 
 
 def psi(tree: DiskTree) -> DiskTree:
     """Forward bijection; the input must lie in family two."""
-    m = classify(tree)
-    if not m.in_dt2:
+    if not classify(tree).in_dt2:
         raise FamilyError("psi expects a tree with '+' first node and no '-' pair")
-    return _apply_checked(tree, psi_plan(tree), m.n_minus, True)
+    return _map(tree, True)[0]
 
 
 def phi(tree: DiskTree) -> DiskTree:
     """Backward bijection; the input must lie in family one."""
-    m = classify(tree)
-    if not m.in_dt1:
+    if not classify(tree).in_dt1:
         raise FamilyError("phi expects a tree whose odd chains all start '+'")
-    return _apply_checked(tree, phi_plan(tree), m.n_minus, False)
+    return _map(tree, False)[0]
 
 
 def order_independence_certificate(
@@ -414,16 +412,16 @@ def order_independence_certificate(
 
     After each single move the remaining violation sites are re-derived
     from scratch, which is a stronger check than permuting a fixed plan.
-    Returns True when every trial reproduces the batch result.
+    Returns True when every trial reproduces the batch result; refuses
+    ``trials < 1``, which would try no order at all.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     m = classify(tree)
-    if m.in_dt2:
-        planner = psi_plan
-    elif m.in_dt1:
-        planner = phi_plan
-    else:
+    if not (m.in_dt1 or m.in_dt2):
         raise FamilyError("tree belongs to neither family")
-    batch = _apply_checked(tree, planner(tree), m.n_minus, m.in_dt2)
+    batch = _map(tree, m.in_dt2)[0]
+    planner = psi_plan if m.in_dt2 else phi_plan
     rng = random.Random(seed)
     for _ in range(trials):
         current = tree
@@ -453,17 +451,15 @@ def bijection_certificate(n: int, k: int) -> dict:
     dt1 = dt2 = returned = 0
     histogram: Counter[str] = Counter()
     for t in enumerate_trees(n, n_minus=k):
-        m = classify(t, k)
+        m = classify(t)
         dt1 += m.in_dt1
         if not m.in_dt2:
             continue
         dt2 += 1
-        image = t
-        for planner, to_family_one in ((psi_plan, True), (phi_plan, False)):
-            ops = planner(image)
-            histogram.update(op.case for op in ops)
-            image = _apply_checked(image, ops, k, to_family_one)
-        returned += image == t
+        image, ops = _map(t, True)
+        back, back_ops = _map(image, False)
+        histogram.update(op.case for op in ops + back_ops)
+        returned += back == t
     return {
         "n": n,
         "k": k,

@@ -39,18 +39,12 @@ def test_classify_membership_basics():
     # the chain is the single node '-', which is odd and starts '-')
     t = DiskTree.parse("(- _ _)")
     m = classify(t)
-    assert m.k == 1 and not m.in_dt1 and not m.in_dt2
+    assert m.n_minus == 1 and not m.in_dt1 and not m.in_dt2
     # '+' root with '-' right child: single even chain, in both families
     t = DiskTree.parse("(+ _ (- _ _))")
     m = classify(t)
     assert m.in_dt1 and m.in_dt2
     assert psi(t) == t and phi(t) == t
-
-
-def test_classify_against_wrong_k():
-    t = DiskTree.parse("(+ _ (- _ _))")
-    m = classify(t, k=0)
-    assert not m.in_dt1 and not m.in_dt2
 
 
 def test_minimal_case_I_instance():
@@ -187,7 +181,7 @@ def test_psi_lands_exactly_on_target_odd_count():
             m = classify(t)
             if m.in_dt2:
                 image = psi(t)
-                assert image.right_chains().r_odd == t.n - 1 - 2 * m.k
+                assert image.right_chains().r_odd == t.n - 1 - 2 * m.n_minus
                 assert not family_one_violations(image)
             if m.in_dt1:
                 assert not family_two_violations(phi(t))
@@ -240,13 +234,26 @@ def test_single_site_instances_trivially_order_independent():
     assert order_independence_certificate(t, trials=3, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_order_independence_refuses_no_trials(monkeypatch, trials):
+    # Refused before any work: no plan is taken, and a tree in neither
+    # family gets the same answer.
+    monkeypatch.setattr(descpoly.bijection, "psi_plan", None)
+    for text in ("(- (+ _ _) _)", "(- _ _)"):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            order_independence_certificate(DiskTree.parse(text), trials=trials)
+
+
 def _certificate_by_direct_loop(n, k):
     """The certificate's counts and histogram the plain way: every tree
-    classified at k, and each member's plan taken on its own."""
+    with k minus labels classified, and each member's plan taken on its
+    own."""
     dt1 = dt2 = 0
     histogram = {}
     for t in enumerate_trees(n):
-        m = classify(t, k)
+        if t.n_minus() != k:
+            continue
+        m = classify(t)
         plans = []
         if m.in_dt2:
             dt2 += 1
@@ -279,6 +286,22 @@ def test_certificate_catches_a_map_that_moves_nothing(monkeypatch, broken, claim
     monkeypatch.setattr(descpoly.bijection, broken, lambda tree: [])
     with pytest.raises(InvariantError, match=claim):
         bijection_certificate(5, 1)
+
+
+@pytest.mark.parametrize("call, broken, claim", [
+    (lambda: psi(DiskTree.parse("(- (+ _ _) _)")), "psi_plan", "psi lands in family one"),
+    (lambda: phi(DiskTree.parse("(- _ (+ _ _))")), "phi_plan", "phi lands in family two"),
+    (lambda: order_independence_certificate(DiskTree.parse("(- (+ _ _) _)")),
+     "psi_plan", "psi lands in family one"),
+    (lambda: bijection_certificate(5, 1), "psi_plan", "psi lands in family one"),
+], ids=["psi", "phi", "order_independence", "certificate"])
+def test_every_entry_point_checks_where_its_map_lands(monkeypatch, call, broken, claim):
+    # Each tree above is outside the other family, so a plan that moves
+    # nothing leaves the image in the wrong family, and every entry point
+    # must say so with the map's own claim.
+    monkeypatch.setattr(descpoly.bijection, broken, lambda tree: [])
+    with pytest.raises(InvariantError, match=claim):
+        call()
 
 
 def test_certificate_catches_a_round_trip_that_does_not_return(monkeypatch):

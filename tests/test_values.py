@@ -69,10 +69,10 @@ RECORDS = [
      "Violation(kind='first-node-minus', nodes=(1,))",
      {"kind": "first-node-minus", "nodes": (1,)}),
     ("GammaFamilyMembership", lambda: classify(DiskTree.parse(TREE)),
-     "GammaFamilyMembership(n=4, k=2, n_minus=2, in_dt1=False, in_dt2=False, "
+     "GammaFamilyMembership(n=4, n_minus=2, in_dt1=False, in_dt2=False, "
      "violations=(Violation(kind='odd-chain-starts-minus', nodes=(1,)), "
      "Violation(kind='first-node-minus', nodes=(1,))), r_odd=1)",
-     {"n": 4, "k": 2, "n_minus": 2, "in_dt1": False, "in_dt2": False,
+     {"n": 4, "n_minus": 2, "in_dt1": False, "in_dt2": False,
       "violations": (Violation("odd-chain-starts-minus", (1,)),
                      Violation("first-node-minus", (1,))),
       "r_odd": 1}),
