@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 from .nested import MINUS, PLUS, rebuild
-from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
+from .trees import DiskTree, GroupRecord, RightChainView, enumerate_trees
 
 
 class FamilyError(ValueError):
@@ -137,10 +137,6 @@ class RepairResult(NamedTuple):
     attach_node: int          # new parent of the cut node
 
 
-def _group_of(view: RightChainView, chain: ChainRecord) -> GroupRecord:
-    return view.groups[chain.group - 1]
-
-
 def _hang_label(tree: DiskTree, group: GroupRecord) -> Optional[str]:
     if group.hang_node is None:
         return None
@@ -175,7 +171,7 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     c = view.chains[chain_index - 1]
     if not (c.is_odd and c.starts_with == MINUS):
         raise FamilyError(f"chain {chain_index} is not an odd '-'-starting chain")
-    group = _group_of(view, c)
+    group = view.groups[c.group - 1]
     run = group.chains
     pos = run.index(chain_index)
     hang = _hang_label(tree, group)
@@ -227,19 +223,18 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     Cases 1/3/5 relocate L's last node to the front of its group; cases
     2/4/6 append it to a chain below.
 
-    Raises FamilyError for a violation that is not one of the tree's: not
-    ``(1,)`` on a ``-`` first node, nor a pair ``(x, x + 1)`` of ``-`` nodes.
+    Raises FamilyError for a violation outside ``family_two_violations``.
     """
-    labels = tree.labels()
-    kind, nodes = violation.kind, violation.nodes
-    if kind == "first-node-minus":
-        ours = nodes == (1,) and labels[:1] == (MINUS,)
-    else:
-        ours = (kind == "consecutive-minus-pair" and len(nodes) == 2
-                and 1 <= nodes[0] < len(labels) and nodes[1] == nodes[0] + 1
-                and labels[nodes[0] - 1] == labels[nodes[0]] == MINUS)
-    if not ours:
+    own = family_two_violations(tree)
+    if violation not in own:
         raise FamilyError(f"not a family-two violation: {violation}")
+    return _repair(tree, own[own.index(violation)])
+
+
+def _repair(tree: DiskTree, violation: Violation) -> RepairResult:
+    """``find_repair_chain`` on a violation the tree itself reported."""
+    labels = tree.labels()
+    kind, nodes = violation
     view = tree.right_chains()
     ix = tree._index()
 
@@ -249,7 +244,7 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
         case, s, hang_node = (1, 1, None) if kind == "first-node-minus" else (
             3, nodes[1], ix.right[nodes[0]])
         first = view.chains[tree.chain_index_of(s) - 1]
-        group = _group_of(view, first)
+        group = view.groups[first.group - 1]
         _ensure(first.terminal == s and first.starts_with == MINUS
                 and group.chains[0] == first.index and group.hang_node == hang_node
                 and _hang_label(tree, group) in (None, PLUS),
@@ -262,7 +257,7 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     k_chain = view.chains[k_idx - 1]
     _ensure(k_chain.tail == x, "the first node of a '-' pair ends its chain",
             tree, violation)
-    group = _group_of(view, k_chain)
+    group = view.groups[k_chain.group - 1]
     _ensure(ix.parent[k_chain.terminal] == y, "y is the parent of the terminal of x's chain",
             tree, violation)
 
@@ -371,7 +366,7 @@ def phi_plan(tree: DiskTree) -> list[SurgeryOp]:
     """Moves taking a family-one tree back to family two."""
     ops = []
     for violation in family_two_violations(tree):
-        found = find_repair_chain(tree, violation)
+        found = _repair(tree, violation)
         ops.append(
             SurgeryOp(found.cut_node, found.attach_kind, found.attach_node, str(found.case))
         )
@@ -446,8 +441,11 @@ def bijection_certificate(n: int, k: int) -> dict:
     whole bijection: phi∘psi = id makes psi injective, and psi lands in
     family one, of equal size, so it is onto and phi inverts it.  Hence the
     phi plans ran on exactly family one, and the case histogram counts
-    each member's own plan once.
+    each member's own plan once.  Refuses a k that is not an ``int`` of at
+    least 0, whose empty bucket would pass while checking nothing.
     """
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int of at least 0, got {k!r}")
     dt1 = dt2 = returned = 0
     histogram: Counter[str] = Counter()
     for t in enumerate_trees(n, n_minus=k):

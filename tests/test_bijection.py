@@ -1,6 +1,7 @@
 """The gamma bijection: fixtures, exhaustive inverses, order independence."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import descpoly.bijection
 from descpoly.bijection import (
     FamilyError,
     InvariantError,
+    SurgeryOp,
     Violation,
     bijection_certificate,
     classify,
@@ -83,14 +85,68 @@ def test_find_adjoint_rejects_an_index_outside_the_chains():
     ("(- (+ _ _) _)", Violation("consecutive-minus-pair", (1, 2))),
     ("(- (- _ _) _)", Violation("consecutive-minus-pair", (1, 2, 3))),
     ("(- (- _ _) _)", Violation("odd-chain-starts-minus", (1,))),
+    ("(- (- _ _) _)", Violation("consecutive-minus-pair", [1, 2])),
 ])
 def test_find_repair_chain_rejects_violations_not_of_the_tree(text, violation):
     # a wrong node, a '+' node, a pair off the tree or not adjacent, a
-    # family-one kind: the caller's input, not a failed invariant
+    # family-one kind, list nodes the tree never reports: the caller's
+    # input, not a failed invariant
     t = DiskTree.parse(text)
     assert violation not in family_two_violations(t)
     with pytest.raises(FamilyError, match="^not a family-two violation: "):
         find_repair_chain(t, violation)
+
+
+def _family_two_rule(labels):
+    """The family-two violations read straight off the in-order labels: a
+    '-' first node, and each pair (x, x + 1) of consecutive '-' nodes."""
+    text = "".join(labels)
+    rule = {Violation("first-node-minus", (1,))} if text.startswith("-") else set()
+    rule.update(Violation("consecutive-minus-pair", (x, x + 1))
+                for x in range(1, len(text)) if text[x - 1:x + 1] == "--")
+    return rule
+
+
+def test_find_repair_chain_accepts_exactly_the_rule_to_n6():
+    # Every candidate of the three kinds, with node tuples of length 0-2
+    # over 0..n, on every tree with n <= 6: the rule's violations are
+    # searched (found outright on family one; elsewhere the case analysis
+    # may fail its invariants), every other candidate is refused.
+    kinds = ("first-node-minus", "consecutive-minus-pair", "odd-chain-starts-minus")
+    accepted = listed = 0
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            rule = _family_two_rule(t.labels())
+            listed += len(rule)
+            in_dt1 = classify(t).in_dt1
+            for kind, length in itertools.product(kinds, range(3)):
+                for nodes in itertools.product(range(n + 1), repeat=length):
+                    v = Violation(kind, nodes)
+                    if v not in rule:
+                        with pytest.raises(FamilyError, match="^not a family-two violation: "):
+                            find_repair_chain(t, v)
+                        continue
+                    accepted += 1
+                    try:
+                        find_repair_chain(t, v)
+                    except InvariantError:
+                        assert not in_dt1, (t, v)
+    assert accepted == listed > 0
+
+
+def test_phi_plan_is_the_checked_search_to_n8():
+    # phi_plan searches its own sites unchecked; the moves are those the
+    # public, checked search gives for each of the tree's violations.
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            if not classify(t).in_dt1:
+                continue
+            moves = []
+            for v in family_two_violations(t):
+                found = find_repair_chain(t, v)
+                moves.append(SurgeryOp(found.cut_node, found.attach_kind,
+                                       found.attach_node, str(found.case)))
+            assert phi_plan(t) == moves, t
 
 
 def test_minimal_repair_case_1():
@@ -130,6 +186,10 @@ def test_repair_case_fixture(fixture):
     assert found.cut_node == fixture["cut_node"]
     assert found.attach_kind == fixture["attach_kind"]
     assert found.attach_node == fixture["attach_node"]
+    # Equal nodes of another number type are the tree's violation too, and
+    # the search runs on the tree's own copy of it.
+    as_floats = Violation(violation.kind, tuple(map(float, violation.nodes)))
+    assert find_repair_chain(t, as_floats) == found
     assert psi(phi(t)) == t
 
 
@@ -242,6 +302,26 @@ def test_order_independence_refuses_no_trials(monkeypatch, trials):
     for text in ("(- (+ _ _) _)", "(- _ _)"):
         with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
             order_independence_certificate(DiskTree.parse(text), trials=trials)
+
+
+@pytest.mark.parametrize("k", [-1, True, 1.0])
+def test_certificate_refuses_a_k_that_is_no_minus_count(monkeypatch, k):
+    # Refused before any tree is enumerated: a negative k is an empty
+    # bucket that would pass while checking nothing, and a bool or float
+    # would be written into the record as given.
+    monkeypatch.setattr(descpoly.bijection, "enumerate_trees", None)
+    with pytest.raises(ValueError, match=rf"^k must be an int of at least 0, got {k!r}$"):
+        bijection_certificate(5, k)
+
+
+def test_certificate_above_the_top_k_is_a_true_zero():
+    # gamma_3 of S_5 is 0: no tree with 3 minus labels on 4 nodes is in
+    # either family.
+    assert separable_gamma(5)[3] == 0
+    assert bijection_certificate(5, 3) == {
+        "n": 5, "k": 3, "dt1_count": 0, "dt2_count": 0,
+        "bijection_ok": True, "case_histogram": {},
+    }
 
 
 def _certificate_by_direct_loop(n, k):
