@@ -34,8 +34,8 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
-from .nested import MINUS, PLUS, rebuild
-from .trees import DiskTree, GroupRecord, RightChainView, enumerate_trees
+from .nested import MINUS, PLUS, index_links
+from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
 
 
 class FamilyError(ValueError):
@@ -162,8 +162,9 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     terminal is the pivot N_* (defaulting to the hang node itself), and the
     adjoint is the chain whose terminal is the pivot's left child.
 
-    Raises FamilyError for an index outside 1..r, or for a chain C that is
-    not odd and ``-``-starting.
+    Raises FamilyError for an index outside 1..r, for a chain C that is
+    not odd and ``-``-starting, and where the case analysis fails on a tree
+    outside family two.
     """
     view = tree.right_chains()
     if not 1 <= chain_index <= view.r:
@@ -171,9 +172,19 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     c = view.chains[chain_index - 1]
     if not (c.is_odd and c.starts_with == MINUS):
         raise FamilyError(f"chain {chain_index} is not an odd '-'-starting chain")
+    try:
+        return _adjoint(tree, view, c)
+    except InvariantError as exc:
+        if family_two_violations(tree):
+            raise FamilyError(f"find_adjoint expects a tree in family two: {exc}") from exc
+        raise
+
+
+def _adjoint(tree: DiskTree, view: RightChainView, c: ChainRecord) -> AdjointResult:
+    """``find_adjoint`` on an odd ``-``-starting chain C of the tree."""
     group = view.groups[c.group - 1]
     run = group.chains
-    pos = run.index(chain_index)
+    pos = run.index(c.index)
     hang = _hang_label(tree, group)
 
     if hang in (None, PLUS):
@@ -181,7 +192,7 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
         _ensure(end > 0 and view.chains[run[end - 1] - 1].is_odd
                 and not any(view.chains[cj - 1].is_odd for cj in run[end:pos]),
                 "the even '-'-starting chains below C rest on an odd chain",
-                tree, chain_index)
+                tree, c.index)
         adjoint = view.chains[run[end - 1] - 1]
         if c.level == 0:
             case = "I" if adjoint.length == 1 else "II"
@@ -193,10 +204,10 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     end = _run_end(view, run, pos, 1, PLUS)
     adjoint_idx = run[end]
     pivot = view.chains[run[end + 1] - 1].terminal if end + 1 < len(run) else group.hang_node
-    _ensure(adjoint_idx != chain_index, "a chain is not its own adjoint", tree, chain_index)
+    _ensure(adjoint_idx != c.index, "a chain is not its own adjoint", tree, c.index)
     adjoint = view.chains[adjoint_idx - 1]
     _ensure(adjoint.is_odd and adjoint.starts_with == PLUS,
-            "the adjoint is an odd '+'-starting chain", tree, chain_index)
+            "the adjoint is an odd '+'-starting chain", tree, c.index)
     case = "V" if c.length == 1 else "VI"
     return AdjointResult(adjoint_idx, case, pivot)
 
@@ -223,12 +234,18 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     Cases 1/3/5 relocate L's last node to the front of its group; cases
     2/4/6 append it to a chain below.
 
-    Raises FamilyError for a violation outside ``family_two_violations``.
+    Raises FamilyError for a violation outside ``family_two_violations``,
+    and where the case analysis fails on a tree outside family one.
     """
     own = family_two_violations(tree)
     if violation not in own:
         raise FamilyError(f"not a family-two violation: {violation}")
-    return _repair(tree, own[own.index(violation)])
+    try:
+        return _repair(tree, own[own.index(violation)])
+    except InvariantError as exc:
+        if family_one_violations(tree):
+            raise FamilyError(f"find_repair_chain expects a tree in family one: {exc}") from exc
+        raise
 
 
 def _repair(tree: DiskTree, violation: Violation) -> RepairResult:
@@ -300,13 +317,18 @@ class SurgeryOp(NamedTuple):
 
 
 def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
-    """Apply cut-and-paste moves; each cut node keeps its left subtree."""
+    """Apply cut-and-paste moves; each cut node keeps its left subtree.
+
+    The moves edit copies of the tree's links, and ``nested.index_links``
+    numbers the image from them by ``nested.index``'s in-order walk.  The
+    labels are the tree's own, checked or generated by the checking rule,
+    so they are not checked again; the walk checks that each right chain
+    still alternates and that it reaches every node."""
     labels = [None, *tree.labels()]
     ix = tree._index()
     if not ix.post:
         return tree  # empty tree, nothing to do
     left, right, parent = list(ix.left), list(ix.right), list(ix.parent)
-    root = ix.post[-1]
     # The checks are inline: this loop runs once per move of every map.
     for op in ops:
         u, v = op.cut_node, op.attach_node
@@ -328,16 +350,7 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
                 raise InvariantError(f"the target has a left child; {op!r}; {tree!r}")
             left[v] = u
         parent[u] = v
-    # Parents before children (a breadth-first list grown while it is
-    # read), then the new triples children first, under the old ids.
-    order = [root]
-    for v in order:
-        if left[v]:
-            order.append(left[v])
-        if right[v]:
-            order.append(right[v])
-    order.reverse()
-    return DiskTree(rebuild(ix._replace(left=left, right=right, post=order), labels)[root])
+    return DiskTree._from_index(index_links(left, right, labels, ix.post[-1], InvariantError))
 
 
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
@@ -349,12 +362,13 @@ def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
     labels = tree.labels()
     ops = []
     for violation in family_one_violations(tree):
-        c_idx = tree.chain_index_of(violation.nodes[0])
+        view = tree.right_chains()
+        c = view.chains[tree.chain_index_of(violation.nodes[0]) - 1]
         c_tail = violation.nodes[-1]
-        found = find_adjoint(tree, c_idx)
-        adj_tail = tree.right_chains().chains[found.chain - 1].tail
+        found = _adjoint(tree, view, c)
+        adj_tail = view.chains[found.chain - 1].tail
         _ensure(labels[adj_tail - 1] == PLUS and labels[c_tail - 1] == MINUS,
-                "the adjoint ends '+' and C ends '-'", tree, c_idx)
+                "the adjoint ends '+' and C ends '-'", tree, c.index)
         if found.case in ("I", "II", "III", "IV"):
             ops.append(SurgeryOp(adj_tail, "attach-right", c_tail, found.case))
         else:

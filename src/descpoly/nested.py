@@ -4,9 +4,11 @@ A Schröder word's expression and a di-sk tree are one and the same value:
 nested ``(label, left, right)`` tuples with ``None`` for an empty subtree.
 The word's atom ``1`` and the tree's ``_`` are only how the two text forms
 spell ``None``.  Unlabeled tree shapes are ``(left, right)`` pairs over
-``None``.  Every walker over any of them goes through :func:`index`, one
-explicit-stack pass that numbers the nodes by in-order and records the
-links between them.  The other helpers here are plain loops over that
+``None``.  There are two walkers, one explicit-stack pass each, and both
+number the nodes by in-order and record the links between them:
+:func:`index` walks the triples, and :func:`index_links` walks child links
+over ids, building the triples as it goes; the bijection's moves hand it
+the links they edited.  The other helpers here are plain loops over that
 record, so no walker recurses and inputs of any depth take linear time.
 
 :class:`CheckedTree` is the value both wrap: a ``(label, left, right)``
@@ -103,6 +105,54 @@ def index(root: Any, left_at: int = 1) -> Index:
                 add_post(done)
         else:
             up = i
+    return Index(nodes, left, right, parent, post)
+
+
+def index_links(left_of: Sequence[int], right_of: Sequence[int], labels: Sequence,
+                root: int, error: type[Exception]) -> Index:
+    """``index`` of the tree whose child links over ids 1..m (0 is empty)
+    hang from ``root``; node i takes the label ``labels`` gives its id, and
+    gets its triple once its subtree is complete.  Raises ``error`` where a
+    right child repeats its parent's label or where the walk misses an id.
+    """
+    size = len(left_of)
+    nodes = [None] * size  # a node's label, then its triple
+    left, right, parent = [0] * size, [0] * size, [0] * size
+    post: list[int] = []
+    stack: list[tuple[int, int]] = []
+    push, pop, add_post = stack.append, stack.pop, post.append
+    node, up, done, i = root, 0, 0, 0
+    while True:
+        while node:
+            push((node, up))
+            node, up = left_of[node], 0
+        if not stack:
+            break
+        node, up = pop()
+        i += 1
+        nodes[i] = labels[node]
+        if left_of[node]:
+            left[i] = done
+            parent[done] = i
+        parent[i] = up
+        if up:
+            right[up] = i
+        node = right_of[node]
+        if not node:
+            # As in ``index``: the climb ends at a left child.
+            nodes[i] = (nodes[i], nodes[left[i]], None)
+            add_post(i)
+            done = i
+            while parent[done]:
+                done = parent[done]
+                nodes[done] = (nodes[done], nodes[left[done]], nodes[right[done]])
+                add_post(done)
+        elif labels[node] == nodes[i]:
+            raise error("right chain does not alternate")
+        else:
+            up = i
+    if i != size - 1:
+        raise error(f"the walk from the root reaches {i} of {size - 1} nodes")
     return Index(nodes, left, right, parent, post)
 
 

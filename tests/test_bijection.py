@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import descpoly.bijection
+import descpoly.nested
 from descpoly.bijection import (
     FamilyError,
     InvariantError,
     SurgeryOp,
     Violation,
+    apply_ops,
     bijection_certificate,
     classify,
     family_one_violations,
@@ -110,10 +112,10 @@ def _family_two_rule(labels):
 def test_find_repair_chain_accepts_exactly_the_rule_to_n6():
     # Every candidate of the three kinds, with node tuples of length 0-2
     # over 0..n, on every tree with n <= 6: the rule's violations are
-    # searched (found outright on family one; elsewhere the case analysis
-    # may fail its invariants), every other candidate is refused.
+    # searched (found outright on family one; elsewhere the search may
+    # refuse the tree, naming family one), every other candidate is refused.
     kinds = ("first-node-minus", "consecutive-minus-pair", "odd-chain-starts-minus")
-    accepted = listed = 0
+    accepted = listed = refused = 0
     for n in range(1, 7):
         for t in enumerate_trees(n):
             rule = _family_two_rule(t.labels())
@@ -127,11 +129,45 @@ def test_find_repair_chain_accepts_exactly_the_rule_to_n6():
                             find_repair_chain(t, v)
                         continue
                     accepted += 1
+                    if in_dt1:
+                        find_repair_chain(t, v)
+                        continue
                     try:
                         find_repair_chain(t, v)
-                    except InvariantError:
-                        assert not in_dt1, (t, v)
-    assert accepted == listed > 0
+                    except FamilyError as exc:
+                        assert str(exc).startswith(
+                            "find_repair_chain expects a tree in family one: "), (t, v)
+                        refused += 1
+    assert accepted == listed > 0 and refused > 0
+
+
+def test_find_adjoint_refuses_only_outside_family_two_to_n6():
+    # Every chain index 0..r+1 on every tree with n <= 6: an index off the
+    # chains or a chain that is not odd and '-'-starting is refused; the
+    # others are found outright on family two, and elsewhere the search
+    # may refuse the tree, naming family two.
+    searched = refused = 0
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            in_dt2 = classify(t).in_dt2
+            chains = t.right_chains().chains
+            for i in range(len(chains) + 2):
+                if not (1 <= i <= len(chains) and chains[i - 1].is_odd
+                        and chains[i - 1].starts_with == "-"):
+                    with pytest.raises(FamilyError, match=rf"^chain (index )?{i} "):
+                        find_adjoint(t, i)
+                    continue
+                searched += 1
+                if in_dt2:
+                    find_adjoint(t, i)
+                    continue
+                try:
+                    find_adjoint(t, i)
+                except FamilyError as exc:
+                    assert str(exc).startswith(
+                        "find_adjoint expects a tree in family two: "), (t, i)
+                    refused += 1
+    assert searched > refused > 0
 
 
 def test_phi_plan_is_the_checked_search_to_n8():
@@ -438,6 +474,63 @@ except b.InvariantError as exc:
 else:
     print("returned")
 """
+
+
+# Node 2 attached below node 1, inside its own subtree: the walk from the
+# root no longer reaches nodes 1 and 2, and apply_ops must say so, also
+# with assert statements stripped.
+_CUT_INTO_ITS_OWN_SUBTREE = """
+import sys
+from descpoly.bijection import InvariantError, SurgeryOp, apply_ops
+from descpoly.trees import DiskTree
+
+assert sys.flags.optimize == 1
+assert False, "assert statements run"
+try:
+    image = apply_ops(DiskTree.parse("(+ (- (+ _ _) _) _)"),
+                      [SurgeryOp(2, "attach-right", 1, "I")])
+except InvariantError as exc:
+    print("raised:", exc)
+else:
+    print("returned", image)
+"""
+
+
+def test_apply_ops_refuses_a_move_that_drops_nodes():
+    t = DiskTree.parse("(+ (- (+ _ _) _) _)")
+    with pytest.raises(InvariantError, match="^the walk from the root reaches 1 of 3 nodes$"):
+        apply_ops(t, [SurgeryOp(2, "attach-right", 1, "I")])
+
+
+def test_apply_ops_refuses_a_move_that_drops_nodes_under_python_O():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _CUT_INTO_ITS_OWN_SUBTREE],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised: the walk from the root reaches 1 of 3 nodes\n"
+
+
+def test_apply_ops_refuses_a_right_chain_that_does_not_alternate():
+    # node 1 ('+') moved onto the right of node 3 ('+')
+    t = DiskTree.parse("(- (+ _ _) (+ _ _))")
+    with pytest.raises(InvariantError, match="^right chain does not alternate$"):
+        apply_ops(t, [SurgeryOp(1, "attach-right", 3, "I")])
+
+
+def test_the_maps_number_their_images_without_a_fresh_walk(monkeypatch):
+    # The moves' image is numbered from its links; nested.index and
+    # nested.check are the triple walks, which the images must not need.
+    tree = DiskTree.parse("(+ (- _ (+ (- _ (+ _ _)) _)) _)")
+    assert classify(tree).in_dt1 and len(phi_plan(tree)) == 2
+    calls = []
+    for name in ("index", "check"):
+        walk = getattr(descpoly.nested, name)
+        monkeypatch.setattr(descpoly.nested, name,
+                            lambda *a, _walk=walk, _name=name: calls.append(_name) or _walk(*a))
+    image = phi(tree)
+    assert psi(image) == tree and image != tree
+    assert calls == []
 
 
 def test_psi_post_condition_holds_under_python_O():

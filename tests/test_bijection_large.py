@@ -5,14 +5,26 @@ arrays over in-order ids 1..m (0 for an empty subtree) and a label per id,
 then turned into ``(label, left, right)`` triples bottom-up.  Results are
 compared by text, never with ``==`` on nested roots, which recurses in C
 once per level.
+
+``apply_ops`` is held to a test-local image rebuilt the same way, on every
+tree of either family with n <= 8 and on the deep left spine.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from descpoly.bijection import classify, order_independence_certificate, phi, psi
-from descpoly.trees import DiskTree
+from descpoly.bijection import (
+    apply_ops,
+    classify,
+    order_independence_certificate,
+    phi,
+    phi_plan,
+    psi,
+    psi_plan,
+)
+from descpoly.nested import index
+from descpoly.trees import DiskTree, enumerate_trees
 
 PLUS, MINUS = "+", "-"
 
@@ -124,9 +136,9 @@ def test_psi_then_phi_on_random_family_two_trees(m, rng):
     _check_round_trip(tree, psi, phi, m)
 
 
-def test_maps_on_a_deep_left_spine():
-    # A left spine of 1000 chains of two nodes, locked into one group 1000
-    # levels deep; random chain starts leave many '-' pairs to repair.
+def deep_left_spine():
+    """A left spine of 1000 chains of two nodes, locked into one group 1000
+    levels deep; random chain starts leave many '-' pairs to repair."""
     rng = random.Random(3)
     m = 2000
     left, right = [0] * (m + 1), [0] * (m + 1)
@@ -138,8 +150,73 @@ def test_maps_on_a_deep_left_spine():
             left[v] = v - 2
         labels[v] = rng.choice((PLUS, MINUS))
         labels[r] = MINUS if labels[v] == PLUS else PLUS
-    tree = DiskTree(_triples(m - 1, left, right, labels))
+    return DiskTree(_triples(m - 1, left, right, labels))
+
+
+def test_maps_on_a_deep_left_spine():
+    tree = deep_left_spine()
     assert classify(tree).in_dt1 and not classify(tree).in_dt2
     image = phi(tree)
     assert classify(image).in_dt2
     assert psi(image).to_text() == tree.to_text()
+
+
+def rebuilt_image(tree, ops):
+    """``apply_ops`` as the moves' image was built before it was numbered
+    from its links: the moves on copied child arrays, then ``_triples``'
+    breadth-first rebuild and a checked ``DiskTree``.  Takes valid moves."""
+    ix = tree._index()
+    if not ix.post:
+        return tree
+    left, right, parent = list(ix.left), list(ix.right), list(ix.parent)
+    for op in ops:
+        u, v = op.cut_node, op.attach_node
+        p = parent[u]
+        if left[p] == u:
+            left[p] = 0
+        else:
+            right[p] = 0
+        if op.attach_kind == "attach-right":
+            right[v] = u
+        else:
+            left[v] = u
+        parent[u] = v
+    return DiskTree(_triples(ix.post[-1], left, right, [None, *tree.labels()]))
+
+
+def assert_same_image(tree, ops):
+    """``apply_ops`` gives the rebuilt image's index, post order, key and
+    text, and its kept index is ``nested.index`` of its own root, node for
+    node (compared flat: the nested roots may be deep)."""
+    image, want = apply_ops(tree, ops), rebuilt_image(tree, ops)
+    ix, fresh, want_ix = image._index(), index(image.root), want._index()
+    assert ix[1:] == fresh[1:] == want_ix[1:]
+    assert len(ix.nodes) == len(fresh.nodes)
+    assert all(a is b for a, b in zip(ix.nodes, fresh.nodes))
+    assert image._key() == want._key()
+    assert image.to_text() == want.to_text()
+
+
+def test_apply_ops_is_the_rebuilt_image_to_n8():
+    # Every tree of either family: its plan as one batch and each move alone.
+    moves = 0
+    for n in range(1, 9):
+        for tree in enumerate_trees(n):
+            m = classify(tree)
+            plans = [plan(tree) for plan, member in ((psi_plan, m.in_dt2), (phi_plan, m.in_dt1))
+                     if member]
+            for ops in plans:
+                assert_same_image(tree, ops)
+                for op in ops:
+                    assert_same_image(tree, [op])
+                moves += len(ops)
+    assert moves > 0
+
+
+def test_apply_ops_is_the_rebuilt_image_on_a_deep_left_spine():
+    tree = deep_left_spine()
+    ops = phi_plan(tree)
+    assert len(ops) > 100
+    assert_same_image(tree, ops)
+    image = apply_ops(tree, ops)
+    assert_same_image(image, psi_plan(image))

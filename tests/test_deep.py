@@ -5,6 +5,9 @@ a split tree: each node splits its entries into a left and a right block
 and joins them by a direct (``+``) or skew (``-``) sum.  Round trips are
 compared by text or by flat tuples, never with ``==`` on nested roots,
 which recurses in C once per level.
+
+The right-chain view is held to a test-local copy built one keyword call
+per record, on every tree with n <= 7 and on every deep input here.
 """
 
 import json
@@ -16,7 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descpoly.permutations import Permutation, is_separable, parse_permutation
-from descpoly.trees import DiskTree, InvalidTreeError, perm_to_tree, word_to_tree
+from descpoly.trees import (
+    ChainRecord,
+    DiskTree,
+    GroupRecord,
+    InvalidTreeError,
+    RightChainView,
+    enumerate_trees,
+    perm_to_tree,
+    word_to_tree,
+)
 from descpoly.words import NotSeparableError, SchroderWord, sweep, word_to_perm
 
 BIG = 10**5
@@ -83,6 +95,55 @@ def random_split(n, rng):
     return split_tree_permutation(n, lambda size, depth: rng.randrange(1, size), op_at)
 
 
+def keyword_view(tree):
+    """``tree.right_chains()`` built as it was before the records were
+    made from columns: one keyword call per chain and per group."""
+    ix = tree._index()
+    left, parent = ix.left, ix.parent
+    raw_chains = tree.chain_nodes()
+    chain_of = [0] * len(left)
+    for ci, nodes in enumerate(raw_chains, 1):
+        for v in nodes:
+            chain_of[v] = ci
+    r = len(raw_chains)
+    level, key, attachment = [0] * (r + 1), [0] * (r + 1), ["root-group"] * (r + 1)
+    for t in reversed(ix.post):
+        p = parent[t]
+        if p == 0 or left[p] != t:
+            continue
+        ci, pc = chain_of[t], chain_of[p]
+        if p == raw_chains[pc - 1][0]:
+            level[ci], key[ci], attachment[ci] = level[pc], key[pc], "lock"
+        else:
+            level[ci], key[ci], attachment[ci] = level[pc] + 1, p, "hang"
+    runs = {}
+    for ci in range(1, r + 1):
+        runs.setdefault(key[ci], []).append(ci)
+    group_id = {k: g for g, k in enumerate(runs, 1)}
+    chains = tuple(
+        ChainRecord(
+            index=ci,
+            nodes=nodes,
+            starts_with=ix.nodes[nodes[0]][0],
+            level=level[ci],
+            attachment=attachment[ci],
+            group=group_id[key[ci]],
+        )
+        for ci, nodes in enumerate(raw_chains, 1)
+    )
+    groups = tuple(
+        GroupRecord(index=g, chains=tuple(run), level=level[run[0]], hang_node=k or None)
+        for g, (k, run) in enumerate(runs.items(), 1)
+    )
+    return RightChainView(chains, groups)
+
+
+def test_right_chains_is_the_keyword_view_to_n7():
+    for n in range(1, 8):
+        for tree in enumerate_trees(n):
+            assert tree.right_chains() == keyword_view(tree), tree
+
+
 def through_every_view(values, word_text=None):
     """parse, sweep, text, parse_expr, word_to_tree, right_chains, tree
     text, DiskTree.parse, to_perm, word_to_perm and is_separable."""
@@ -96,6 +157,7 @@ def through_every_view(values, word_text=None):
     assert again.minus_positions() == p.descent_set()
     tree = word_to_tree(again)
     view = tree.right_chains()
+    assert view == keyword_view(tree)
     assert sum(view.lengths()) == tree.size == len(values) - 1
     tree_text = tree.to_text()
     parsed = DiskTree.parse(tree_text)
