@@ -323,7 +323,8 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
     numbers the image from them by ``nested.index``'s in-order walk.  The
     labels are the tree's own, checked or generated by the checking rule,
     so they are not checked again; the walk checks that each right chain
-    still alternates and that it reaches every node."""
+    still alternates and that it reaches every node.
+    """
     labels = [None, *tree.labels()]
     ix = tree._index()
     if not ix.post:
