@@ -163,8 +163,8 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     adjoint is the chain whose terminal is the pivot's left child.
 
     Raises FamilyError for an index outside 1..r, for a chain C that is
-    not odd and ``-``-starting, and where the case analysis fails on a tree
-    outside family two.
+    not odd and ``-``-starting, and for a tree outside family two, naming
+    its violations.
     """
     view = tree.right_chains()
     if not 1 <= chain_index <= view.r:
@@ -172,12 +172,10 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     c = view.chains[chain_index - 1]
     if not (c.is_odd and c.starts_with == MINUS):
         raise FamilyError(f"chain {chain_index} is not an odd '-'-starting chain")
-    try:
-        return _adjoint(tree, view, c)
-    except InvariantError as exc:
-        if family_two_violations(tree):
-            raise FamilyError(f"find_adjoint expects a tree in family two: {exc}") from exc
-        raise
+    outside = family_two_violations(tree)
+    if outside:
+        raise FamilyError(f"find_adjoint expects a tree in family two: {outside}")
+    return _adjoint(tree, view, c)
 
 
 def _adjoint(tree: DiskTree, view: RightChainView, c: ChainRecord) -> AdjointResult:
@@ -235,17 +233,15 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     2/4/6 append it to a chain below.
 
     Raises FamilyError for a violation outside ``family_two_violations``,
-    and where the case analysis fails on a tree outside family one.
+    and for a tree outside family one, naming its violations.
     """
     own = family_two_violations(tree)
     if violation not in own:
         raise FamilyError(f"not a family-two violation: {violation}")
-    try:
-        return _repair(tree, own[own.index(violation)])
-    except InvariantError as exc:
-        if family_one_violations(tree):
-            raise FamilyError(f"find_repair_chain expects a tree in family one: {exc}") from exc
-        raise
+    outside = family_one_violations(tree)
+    if outside:
+        raise FamilyError(f"find_repair_chain expects a tree in family one: {outside}")
+    return _repair(tree, own[own.index(violation)])
 
 
 def _repair(tree: DiskTree, violation: Violation) -> RepairResult:
@@ -456,11 +452,13 @@ def bijection_certificate(n: int, k: int) -> dict:
     whole bijection: phi∘psi = id makes psi injective, and psi lands in
     family one, of equal size, so it is onto and phi inverts it.  Hence the
     phi plans ran on exactly family one, and the case histogram counts
-    each member's own plan once.  Refuses a k that is not an ``int`` of at
-    least 0, whose empty bucket would pass while checking nothing.
+    each member's own plan once.  Refuses an n that is not an ``int`` of at
+    least 1, and a k that is not an ``int`` of at least 0, whose empty
+    bucket would pass while checking nothing.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be an int of at least 0, got {k!r}")
+    for name, value, least in (("n", n, 1), ("k", k, 0)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
     dt1 = dt2 = returned = 0
     histogram: Counter[str] = Counter()
     for t in enumerate_trees(n, n_minus=k):

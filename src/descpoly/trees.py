@@ -306,7 +306,7 @@ class DiskTree(CheckedTree):
     def from_json(cls, text: str) -> "DiskTree":
         """Read the JSON form; each object's keys and subtree types are
         checked as it is decoded, labels and alternation as the tree is
-        built.
+        built.  Text that is no JSON at all raises InvalidTreeError too.
 
         Past the depth where the ``json`` module gives up (it recurses once
         per level, about a thousand), the text ``to_json`` writes is still
@@ -315,6 +315,8 @@ class DiskTree(CheckedTree):
         """
         try:
             root = json.loads(text, object_hook=_json_node)
+        except json.JSONDecodeError as exc:
+            raise InvalidTreeError(f"malformed JSON: {exc}") from None
         except RecursionError:
             spelled = written = text.strip()
             for old, new in _JSON_AS_TEXT:

@@ -390,13 +390,13 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 def verify_suite(name: str, max_n: Optional[int] = None) -> VerificationReport:
     """Run one named suite, optionally overriding its exhaustive depth.
 
-    Raises ValueError for a depth below 1, and for any depth given to the
-    ``tables`` suite, which has none.
+    Raises ValueError for a depth that is not an ``int`` of at least 1,
+    and for any depth given to the ``tables`` suite, which has none.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if max_n is not None and max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if max_n is not None and (type(max_n) is not int or max_n < 1):
+        raise ValueError(f"max_n must be an int of at least 1, got {max_n!r}")
     if max_n is not None and name == "tables":
         raise ValueError("the tables suite has no depth to set")
     start = time.monotonic()

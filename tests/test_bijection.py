@@ -13,8 +13,10 @@ import pytest
 import descpoly.bijection
 import descpoly.nested
 from descpoly.bijection import (
+    AdjointResult,
     FamilyError,
     InvariantError,
+    RepairResult,
     SurgeryOp,
     Violation,
     apply_ops,
@@ -111,16 +113,17 @@ def _family_two_rule(labels):
 
 def test_find_repair_chain_accepts_exactly_the_rule_to_n6():
     # Every candidate of the three kinds, with node tuples of length 0-2
-    # over 0..n, on every tree with n <= 6: the rule's violations are
-    # searched (found outright on family one; elsewhere the search may
-    # refuse the tree, naming family one), every other candidate is refused.
+    # over 0..n, on every tree with n <= 6: a candidate off the rule is
+    # refused as no violation of the tree; the rule's violations are found
+    # on family one, and everywhere else the tree is refused, naming its
+    # family-one violations.
     kinds = ("first-node-minus", "consecutive-minus-pair", "odd-chain-starts-minus")
     accepted = listed = refused = 0
     for n in range(1, 7):
         for t in enumerate_trees(n):
             rule = _family_two_rule(t.labels())
             listed += len(rule)
-            in_dt1 = classify(t).in_dt1
+            outside = family_one_violations(t)
             for kind, length in itertools.product(kinds, range(3)):
                 for nodes in itertools.product(range(n + 1), repeat=length):
                     v = Violation(kind, nodes)
@@ -129,27 +132,26 @@ def test_find_repair_chain_accepts_exactly_the_rule_to_n6():
                             find_repair_chain(t, v)
                         continue
                     accepted += 1
-                    if in_dt1:
-                        find_repair_chain(t, v)
+                    if not outside:
+                        assert type(find_repair_chain(t, v)) is RepairResult
                         continue
-                    try:
+                    with pytest.raises(FamilyError) as refusal:
                         find_repair_chain(t, v)
-                    except FamilyError as exc:
-                        assert str(exc).startswith(
-                            "find_repair_chain expects a tree in family one: "), (t, v)
-                        refused += 1
-    assert accepted == listed > 0 and refused > 0
+                    assert str(refusal.value) == (
+                        f"find_repair_chain expects a tree in family one: {outside}"), (t, v)
+                    refused += 1
+    assert accepted == listed > refused > 0
 
 
 def test_find_adjoint_refuses_only_outside_family_two_to_n6():
     # Every chain index 0..r+1 on every tree with n <= 6: an index off the
     # chains or a chain that is not odd and '-'-starting is refused; the
-    # others are found outright on family two, and elsewhere the search
-    # may refuse the tree, naming family two.
+    # others are found on family two, and everywhere else the tree is
+    # refused, naming its family-two violations.
     searched = refused = 0
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            in_dt2 = classify(t).in_dt2
+            outside = family_two_violations(t)
             chains = t.right_chains().chains
             for i in range(len(chains) + 2):
                 if not (1 <= i <= len(chains) and chains[i - 1].is_odd
@@ -158,16 +160,32 @@ def test_find_adjoint_refuses_only_outside_family_two_to_n6():
                         find_adjoint(t, i)
                     continue
                 searched += 1
-                if in_dt2:
-                    find_adjoint(t, i)
+                if not outside:
+                    assert type(find_adjoint(t, i)) is AdjointResult
                     continue
-                try:
+                with pytest.raises(FamilyError) as refusal:
                     find_adjoint(t, i)
-                except FamilyError as exc:
-                    assert str(exc).startswith(
-                        "find_adjoint expects a tree in family two: "), (t, i)
-                    refused += 1
+                assert str(refusal.value) == (
+                    f"find_adjoint expects a tree in family two: {outside}"), (t, i)
+                refused += 1
     assert searched > refused > 0
+
+
+def test_no_map_or_certificate_calls_the_public_searches(monkeypatch):
+    # The maps search the sites they derived themselves with the private
+    # searches, so the public searches' family check costs them nothing.
+    def refuse(*args):
+        raise RuntimeError("a public search was called")
+
+    for name in ("find_adjoint", "find_repair_chain"):
+        monkeypatch.setattr(descpoly.bijection, name, refuse)
+    source = DiskTree.parse(FIXTURES["forty_node_pair"]["source"])
+    image = psi(source)
+    assert phi(image) == source
+    assert order_independence_certificate(source) and order_independence_certificate(image)
+    for k in range(4):
+        cert = bijection_certificate(7, k)
+        assert cert["bijection_ok"] and cert["dt1_count"] == separable_gamma(7)[k]
 
 
 def test_phi_plan_is_the_checked_search_to_n8():
@@ -348,6 +366,15 @@ def test_certificate_refuses_a_k_that_is_no_minus_count(monkeypatch, k):
     monkeypatch.setattr(descpoly.bijection, "enumerate_trees", None)
     with pytest.raises(ValueError, match=rf"^k must be an int of at least 0, got {k!r}$"):
         bijection_certificate(5, k)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5, 3.0])
+def test_certificate_refuses_an_n_that_is_no_order(monkeypatch, n):
+    # Refused before any tree is enumerated: a bool or float would
+    # otherwise be counted as an order and written into the record.
+    monkeypatch.setattr(descpoly.bijection, "enumerate_trees", None)
+    with pytest.raises(ValueError, match=rf"^n must be an int of at least 1, got {n!r}$"):
+        bijection_certificate(n, 0)
 
 
 def test_certificate_above_the_top_k_is_a_true_zero():

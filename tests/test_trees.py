@@ -355,6 +355,9 @@ def test_text_serialization_roundtrip():
     ('{"label": "+", "left": null, "right": {"label": "+", "left": null, "right": null}}',
      "does not alternate"),
     ('[1, 2]', "a tree is a node object or null"),
+    ('{', "^malformed JSON: "),
+    ('', "^malformed JSON: "),
+    ('{"label": "+", "left": null, "right": null', "^malformed JSON: "),
 ])
 def test_from_json_rejects_malformed_trees(text, message):
     with pytest.raises(InvalidTreeError, match=message):

@@ -559,6 +559,15 @@ def test_verify_suite_rejects_a_vacuous_max_n(name, max_n):
         verify_suite(name, max_n)
 
 
+@pytest.mark.parametrize("max_n", [True, False, 2.5, 3.0, "3"])
+def test_verify_suite_refuses_a_max_n_that_is_no_int(monkeypatch, max_n):
+    # Refused before the suite runs: True would run depth 1, and 2.5 would
+    # fail inside the suite with a TypeError from range.
+    monkeypatch.setitem(SUITES, "bijection", None)
+    with pytest.raises(ValueError, match=rf"^max_n must be an int of at least 1, got {max_n!r}$"):
+        verify_suite("bijection", max_n)
+
+
 @pytest.mark.parametrize("max_n", range(1, 8))
 def test_bijection_suite_passes_below_n_8(max_n):
     # The case-coverage check expects only the search cases seen by max_n.
