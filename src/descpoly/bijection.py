@@ -36,6 +36,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import InvariantError
 from .nested import MINUS, PLUS, index_links
 from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
+from .value import need
 
 
 class FamilyError(ValueError):
@@ -418,11 +419,10 @@ def order_independence_certificate(
 
     After each single move the remaining violation sites are re-derived
     from scratch, which is a stronger check than permuting a fixed plan.
-    Returns True when every trial reproduces the batch result; refuses
-    ``trials < 1``, which would try no order at all.
+    Returns True when every trial reproduces the batch result.  ``trials``
+    is held to ``value.need`` at 1: zero trials would try no order at all.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    need("trials", trials, 1)
     m = classify(tree)
     if not (m.in_dt1 or m.in_dt2):
         raise FamilyError("tree belongs to neither family")
@@ -452,13 +452,11 @@ def bijection_certificate(n: int, k: int) -> dict:
     whole bijection: phi∘psi = id makes psi injective, and psi lands in
     family one, of equal size, so it is onto and phi inverts it.  Hence the
     phi plans ran on exactly family one, and the case histogram counts
-    each member's own plan once.  Refuses an n that is not an ``int`` of at
-    least 1, and a k that is not an ``int`` of at least 0, whose empty
-    bucket would pass while checking nothing.
+    each member's own plan once.  n and k are held to ``value.need`` at 1
+    and 0: a k below 0 is an empty bucket that would pass checking nothing.
     """
-    for name, value, least in (("n", n, 1), ("k", k, 0)):
-        if type(value) is not int or value < least:
-            raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+    need("n", n, 1)
+    need("k", k, 0)
     dt1 = dt2 = returned = 0
     histogram: Counter[str] = Counter()
     for t in enumerate_trees(n, n_minus=k):

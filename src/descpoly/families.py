@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ResourceCapError
 from .polynomials import GammaVector, IntPolynomial, gamma_decompose, is_palindromic
+from .value import need
 
 # Largest n that the enumeration oracles run at.
 BRUTE_FORCE_CAP = 8
@@ -52,20 +53,19 @@ BRUTE_FORCE_CAP = 8
 
 def _check_cap(n: int) -> None:
     """The check every enumeration passes through: 1 <= n <= the cap."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     if n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"enumeration capped at n = {BRUTE_FORCE_CAP}, got {n}")
 
 
 def catalan(n: int) -> int:
+    need("n", n, 0)
     return math.comb(2 * n, n) // (n + 1)
 
 
 def derangement_count(n: int) -> int:
     """d_n = (-1)^n + n d_{n-1}, d_0 = 1."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    need("n", n, 0)
     d = 1
     for m in range(1, n + 1):
         d = (-1) ** m + m * d
@@ -75,8 +75,7 @@ def derangement_count(n: int) -> int:
 def schroder_number(n: int) -> int:
     """Number of separable permutations of n (1, 2, 6, 22, 90, ...), the large
     Schroder number r_{n-1}: (m+1) r_m = 3(2m-1) r_{m-1} - (m-2) r_{m-2}."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     r = [1, 2]
     for m in range(2, n):
         r.append((3 * (2 * m - 1) * r[-1] - (m - 2) * r[-2]) // (m + 1))
@@ -101,8 +100,7 @@ def _descent_histogram(n: int, keep=None, stat=lambda p: p.des()) -> IntPolynomi
 def _by_enumeration(n: int, method: str) -> bool:
     """Whether a family member is asked for by enumeration, after checking
     n and the method name."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     if method not in ("enum", "recurrence"):
         raise ValueError(f"unknown method {method!r}")
     return method == "enum"
@@ -168,8 +166,7 @@ def separable_split(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     ``separable_poly`` with C(n-2, k-c) for C(n, k-c).  S^-_n is S^+_n
     read backwards over degrees 0..n-1, t^(n-1) S^+_n(1/t).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     if n == 1:
         return (IntPolynomial.one(), IntPolynomial.one())
     plus = _lagrange_sum(n, n - 2)
@@ -231,8 +228,7 @@ def cubic_equation_residual(order: int) -> list[IntPolynomial]:
     S(t, z) is the generating function sum_n S_n(t) z^n truncated to
     z^order; the residual vanishes termwise in that range.
     """
-    if order < 1:
-        raise ValueError("need order >= 1")
+    need("order", order, 1)
     zero = IntPolynomial.zero()
     s1 = [zero] + [separable_poly(n) for n in range(1, order + 1)]
     s2 = [sum((s1[i] * s1[m - i] for i in range(m + 1)), zero) for m in range(order + 1)]
@@ -395,8 +391,7 @@ def spiral_report(n: int) -> SpiralReport:
     except d(4, 1) = d(4, 2).  Odd n = 2m+1:
     d(n, k) < d(n, n-1-k) < d(n, k+1) for 1 <= k <= m-1.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    need("n", n, 2)
     order = _outside_in(1, n - 1, True) if n % 2 == 0 else _outside_in(1, n - 2, False)
     return _spiral("derangement", "d", n, derangement_poly(n), order)
 
@@ -410,8 +405,7 @@ def complement_spiral_report(n: int) -> SpiralReport:
     e(n, n-1-k) < e(n, k) < e(n, n-2-k) for 1 <= k <= (n-1)/2 - 1, with the
     boundary e(n, n-1) < e(n, n-2) opening the chain.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    need("n", n, 2)
     e = complement_poly(n)
     if n % 2 == 0:
         return _spiral("complement", "e", n, e, _outside_in(0, n - 2, False))
@@ -437,8 +431,8 @@ def verify_series_identity(n: int, order: int) -> bool:
     >>> verify_series_identity(4, 10)
     True
     """
-    if n < 2 or order < 1:
-        raise ValueError("need n >= 2 and order >= 1")
+    need("n", n, 2)
+    need("order", order, 1)
     binom_series = IntPolynomial(math.comb(n + j, n) for j in range(order + 1))
     lhs = (derangement_poly(n) * binom_series).truncate(order)
     return lhs == IntPolynomial(power_tail(r, n) for r in range(1, order + 2))
@@ -457,10 +451,10 @@ class PolyCache:
     permutations it ranges over: its value at 1 is r_{n-1}, d_n, n! and
     n! - d_n for S, D, A and Dtilde, and for Gamma, of degree at most
     (n-1)/2, sum_k gamma_k 2^(n-1-2k) = S_n(1).  Otherwise it counts as a
-    miss: the polynomial is recomputed and the file rewritten.  An n below
-    1 is refused before any file is read.  Writes go through a temporary
-    file in the same directory and ``os.replace``, so a reader never sees
-    half a file.
+    miss: the polynomial is recomputed and the file rewritten.  An n that
+    is no ``int`` of at least 1 is refused before any file is read.  Writes
+    go through a temporary file in the same directory and ``os.replace``,
+    so a reader never sees half a file.
     """
 
     FORMAT_VERSION = 1
@@ -488,8 +482,7 @@ class PolyCache:
     def get(self, family: str, n: int) -> IntPolynomial:
         if family not in self.FAMILIES:
             raise KeyError(f"unknown family {family!r}")
-        if n < 1:
-            raise ValueError("need n >= 1")
+        need("n", n, 1)
         p = self.path(family, n)
         poly = self._read(p, family, n)
         if poly is not None:

@@ -28,7 +28,7 @@ from operator import sub
 from .errors import InvariantError
 from .families import separable_gamma
 from .polynomials import IntPolynomial, gamma_decompose
-from .value import Value, sorted_get
+from .value import Value, need, sorted_get
 
 Grid = dict[tuple[int, int], int]
 
@@ -78,8 +78,7 @@ def two_var_poly(n: int) -> BivariatePolynomial:
     >>> two_var_poly(2).as_dict()
     {(0, 0): 1, (1, 1): 1}
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     grid = [[comb(i * j + n - 1, n) for j in range(n + 1)] for i in range(n + 1)]
     for _ in range(2):   # along t, then, transposed, along s
         for _ in range(n + 1):

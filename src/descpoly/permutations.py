@@ -17,7 +17,7 @@ import itertools
 from operator import and_, gt, lt, ne
 from typing import Iterable, Iterator, Sequence
 
-from .value import Value
+from .value import Value, need
 
 
 class Permutation(Value):
@@ -199,8 +199,7 @@ def insert_value(p: Permutation, j: int) -> Permutation:
 
 def _words(n: int) -> Iterator[tuple[int, ...]]:
     """The words of 1..n, lexicographic; n < 0 is refused at the call."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    need("n", n, 0)
     return itertools.permutations(range(1, n + 1))
 
 

@@ -44,7 +44,7 @@ from typing import Mapping, Union
 
 from .errors import ResourceCapError
 from .polynomials import IntPolynomial
-from .value import Value, sorted_get
+from .value import Value, need, sorted_get
 
 NCMonomial = tuple[int, ...]
 
@@ -198,8 +198,7 @@ def rc_index(n: int) -> RCIndex:
 
     Raises ResourceCapError past ``RC_INDEX_MAX_N``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     if n > RC_INDEX_MAX_N:
         raise ResourceCapError(f"rc-index capped at n = {RC_INDEX_MAX_N}, got {n}")
     return RCIndex(n, _shapes(n - 1))
@@ -242,6 +241,8 @@ def gamma_from_shapes(n: int, k: int) -> int:
     >>> gamma_from_shapes(4, 1)
     7
     """
-    if not 0 <= k <= (n - 1) // 2:
+    need("n", n, 1)
+    need("k", k, 0)
+    if k > (n - 1) // 2:
         raise ValueError(f"k = {k} out of range for n = {n}")
     return _shape_sums(n - 1)[0][k]

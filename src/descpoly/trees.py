@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, rebuild, render
 from .permutations import Permutation
-from .value import Value
+from .value import Value, need
 from .words import SchroderWord, index_values, sweep
 
 # Unlabeled structures are frozen pairs (left, right); None is empty.
@@ -60,6 +60,7 @@ _FLIP = {PLUS: MINUS, MINUS: PLUS}
 # it is the text form with other spellings.
 _JSON_OPENS = {l: f'{{"label": "{l}", "left": ' for l in (PLUS, MINUS)}
 _JSON_MIDS = {l: ', "right": ' for l in (PLUS, MINUS)}
+_JSON_KEYS = frozenset(("label", "left", "right"))
 _JSON_AS_TEXT = [(_JSON_OPENS[l], _OPENS[l]) for l in (PLUS, MINUS)] + [
     (_JSON_MIDS[PLUS], _MIDS[PLUS]), ("null", "_"), ("}", ")")]
 
@@ -335,7 +336,10 @@ class DiskTree(CheckedTree):
 
 
 def _json_node(obj: dict) -> tuple:
-    """One ``{"label", "left", "right"}`` object as a node, children first."""
+    """One object as a node, children first: exactly the keys of ``_JSON_KEYS``."""
+    if not _JSON_KEYS.issuperset(obj):
+        key = next(key for key in obj if key not in _JSON_KEYS)
+        raise InvalidTreeError(f"tree node with the unknown key {key!r}")
     try:
         label, left, right = obj["label"], obj["left"], obj["right"]
     except KeyError as exc:
@@ -471,8 +475,7 @@ def _gen_shapes(m: int) -> tuple[ShapeNode, ...]:
 
 def enumerate_shapes(n: int) -> Iterator[TreeShape]:
     """All unlabeled binary trees with n-1 nodes (Catalan many)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     return (TreeShape(s) for s in _gen_shapes(n - 1))
 
 
@@ -509,8 +512,9 @@ def enumerate_trees(n: int, n_minus: Optional[int] = None) -> Iterator[DiskTree]
     is built; a bucket is that memo read through a filter on the counts,
     so it yields the memoized roots themselves.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
+    if n_minus is not None:
+        need("n_minus", n_minus, 0)
     roots, counts = _gen_trees(n - 1)
     if n_minus is not None:
         roots = (t for t, c in zip(roots, counts) if c == n_minus)

@@ -14,7 +14,8 @@ what a frozen dataclass would, without generating code at import time:
 * pickling and copying.
 
 ``sorted_get`` reads one key from a field of (key, value) pairs kept
-sorted, as the polynomial grids and the rc-index keep theirs.
+sorted, as the polynomial grids and the rc-index keep theirs.  ``need`` is
+the one rule for every order, count and depth argument of an entry.
 """
 
 from bisect import bisect_left
@@ -26,6 +27,14 @@ def sorted_get(pairs: tuple, key, order=lambda key: key):
     ``order`` of their keys, or 0 when the key is absent."""
     i = bisect_left(pairs, order(key), key=lambda pair: order(pair[0]))
     return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else 0
+
+
+def need(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an ``int``, not a bool, of at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
 
 
 class Value:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import families
 from .families import PolyCache  # noqa: F401  (re-exported under its old name)
-from .value import Value
+from .value import Value, need
 
 PASS = "pass"
 FAIL = "fail"
@@ -390,15 +390,15 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 def verify_suite(name: str, max_n: Optional[int] = None) -> VerificationReport:
     """Run one named suite, optionally overriding its exhaustive depth.
 
-    Raises ValueError for a depth that is not an ``int`` of at least 1,
-    and for any depth given to the ``tables`` suite, which has none.
+    Raises ValueError for a depth that is no ``int`` of at least 1
+    (``value.need``) and for any depth given to ``tables``, which has none.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if max_n is not None and (type(max_n) is not int or max_n < 1):
-        raise ValueError(f"max_n must be an int of at least 1, got {max_n!r}")
-    if max_n is not None and name == "tables":
-        raise ValueError("the tables suite has no depth to set")
+    if max_n is not None:
+        need("max_n", max_n, 1)
+        if name == "tables":
+            raise ValueError("the tables suite has no depth to set")
     start = time.monotonic()
     report = SUITES[name]() if max_n is None else SUITES[name](max_n)
     report.wall_time = time.monotonic() - start

@@ -43,6 +43,7 @@ from .permutations import (
     find_pattern,
     separating_pass,
 )
+from .value import need
 
 
 class InvalidWordError(ValueError):
@@ -183,8 +184,7 @@ def enumerate_words(n: int) -> Iterator[SchroderWord]:
 
     Counts follow the large Schröder numbers 1, 2, 6, 22, 90, 394, 1806, ...
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    need("n", n, 1)
     return (SchroderWord(expr, _validate=False) for expr in _gen_exprs(n))
 
 

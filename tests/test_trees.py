@@ -358,6 +358,19 @@ def test_text_serialization_roundtrip():
     ('{', "^malformed JSON: "),
     ('', "^malformed JSON: "),
     ('{"label": "+", "left": null, "right": null', "^malformed JSON: "),
+    # A node has exactly the keys label, left and right, whatever an
+    # extra key holds: a node object, a list, any other object or value.
+    ('{"label": "+", "left": null, "right": null, '
+     '"x": {"label": "*", "left": null, "right": null}}', "^tree node with the unknown key 'x'$"),
+    ('{"label": "+", "left": null, "right": null, '
+     '"x": {"label": "-", "left": null, "right": null}}', "^tree node with the unknown key 'x'$"),
+    ('{"label": "+", "left": null, "right": null, "x": [1, 2]}',
+     "^tree node with the unknown key 'x'$"),
+    ('{"label": "+", "left": null, "right": null, "x": {"a": 1}}',
+     "^tree node with the unknown key 'a'$"),
+    ('{"label": "+", "left": null, "right": null, "x": 3}', "^tree node with the unknown key 'x'$"),
+    ('{"label": "-", "left": {"label": "+", "left": null, "right": null, "x": null}, '
+     '"right": null}', "^tree node with the unknown key 'x'$"),
 ])
 def test_from_json_rejects_malformed_trees(text, message):
     with pytest.raises(InvalidTreeError, match=message):
@@ -400,8 +413,11 @@ def test_minus_count_buckets_keep_order_and_share_roots():
             assert all(a.root is b.root for a, b in zip(bucket, expected))
             seen += len(bucket)
         assert seen == len(trees)
+        # A count above the top is a true empty bucket; a negative count
+        # is no count at all, and is refused at the call.
         assert list(enumerate_trees(n, n_minus=n)) == []
-        assert list(enumerate_trees(n, n_minus=-1)) == []
+        with pytest.raises(ValueError, match="^need n_minus >= 0$"):
+            enumerate_trees(n, n_minus=-1)
 
 
 def test_chain_nodes_are_the_chains_of_the_view():
@@ -489,5 +505,6 @@ def test_bucket_sizes_are_the_descent_polynomial():
     for n in range(1, 11):
         sizes = [sum(1 for _ in enumerate_trees(n, n_minus=k)) for k in range(n)]
         assert sizes == list(separable_poly(n).coeffs), n
-        assert list(enumerate_trees(n, n_minus=-1)) == []
         assert list(enumerate_trees(n, n_minus=n)) == []
+        with pytest.raises(ValueError, match="^need n_minus >= 0$"):
+            enumerate_trees(n, n_minus=-1)
