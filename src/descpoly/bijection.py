@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 from .nested import MINUS, PLUS, index_links
-from .trees import ChainRecord, DiskTree, GroupRecord, RightChainView, enumerate_trees
+from .trees import DiskTree, enumerate_trees
 from .value import need
 
 
@@ -138,17 +138,59 @@ class RepairResult(NamedTuple):
     attach_node: int          # new parent of the cut node
 
 
-def _hang_label(tree: DiskTree, group: GroupRecord) -> Optional[str]:
-    if group.hang_node is None:
-        return None
-    return tree.labels()[group.hang_node - 1]
+class _Groups:
+    """The chains and groups one plan reads, from the tree's links.
+
+    A group is a left spine of terminals: climbing from a terminal while
+    the parent is itself a terminal (a lock) ends at the root, for the root
+    group (level 0, no hang node), or below a non-terminal, the hang node.
+    The run, bottom-up in chain order, is the left spine below that top.
+    Each group is walked on its first query and kept for the rest of the
+    plan, so a plan reads only the groups of its sites and builds no
+    ``right_chains`` view.
+    """
+
+    __slots__ = ("tree", "labels", "chains", "chain_of", "left", "right", "parent", "_memo")
+
+    def __init__(self, tree: DiskTree):
+        ix = tree._kept_index()
+        self.tree, self.labels = tree, tree.labels()
+        self.chains, self.chain_of = tree._walk()
+        self.left, self.right, self.parent = ix.left, ix.right, ix.parent
+        self._memo: dict = {}
+
+    def of(self, ci: int) -> tuple[list, int, Optional[int]]:
+        """Chain ``ci``'s group: its run (each chain's nodes, bottom-up),
+        the position of ``ci`` in it, and the hang node (None for the
+        root group)."""
+        try:
+            return self._memo[ci]
+        except KeyError:
+            pass
+        chains, chain_of, left, right, parent = (
+            self.chains, self.chain_of, self.left, self.right, self.parent)
+        top = chains[ci - 1][0]
+        p = parent[top]
+        while p and right[parent[p]] != p:  # p is the root or a left child
+            top, p = p, parent[p]
+        run = []
+        while top:
+            run.append(chains[chain_of[top] - 1])
+            top = left[top]
+        run.reverse()
+        hang = p or None
+        for pos, nodes in enumerate(run):
+            self._memo[chain_of[nodes[0]]] = (run, pos, hang)
+        return self._memo[ci]
+
+    def hang_label(self, hang: Optional[int]) -> Optional[str]:
+        return None if hang is None else self.labels[hang - 1]
 
 
-def _run_end(view: RightChainView, run: tuple[int, ...], pos: int, step: int,
-             label: str) -> int:
+def _run_end(labels: tuple[str, ...], run: list, pos: int, step: int, label: str) -> int:
     """The last position of ``run`` reached from ``pos`` by steps of
     ``step`` (+1 up, -1 down) onto chains that start with ``label``."""
-    while 0 <= pos + step < len(run) and view.chains[run[pos + step] - 1].starts_with == label:
+    while 0 <= pos + step < len(run) and labels[run[pos + step][0] - 1] == label:
         pos += step
     return pos
 
@@ -167,60 +209,57 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     not odd and ``-``-starting, and for a tree outside family two, naming
     its violations.
     """
-    view = tree.right_chains()
-    if not 1 <= chain_index <= view.r:
-        raise FamilyError(f"chain index {chain_index} out of range 1..{view.r}")
-    c = view.chains[chain_index - 1]
-    if not (c.is_odd and c.starts_with == MINUS):
+    chains = tree.chain_nodes()
+    if not 1 <= chain_index <= len(chains):
+        raise FamilyError(f"chain index {chain_index} out of range 1..{len(chains)}")
+    nodes = chains[chain_index - 1]
+    if not (len(nodes) % 2 == 1 and tree.labels()[nodes[0] - 1] == MINUS):
         raise FamilyError(f"chain {chain_index} is not an odd '-'-starting chain")
     outside = family_two_violations(tree)
     if outside:
         raise FamilyError(f"find_adjoint expects a tree in family two: {outside}")
-    return _adjoint(tree, view, c)
+    return _adjoint(_Groups(tree), chain_index)
 
 
-def _adjoint(tree: DiskTree, view: RightChainView, c: ChainRecord) -> AdjointResult:
-    """``find_adjoint`` on an odd ``-``-starting chain C of the tree."""
-    group = view.groups[c.group - 1]
-    run = group.chains
-    pos = run.index(c.index)
-    hang = _hang_label(tree, group)
+def _adjoint(g: _Groups, ci: int) -> AdjointResult:
+    """``find_adjoint`` on an odd ``-``-starting chain ``ci`` of the tree."""
+    labels = g.labels
+    run, pos, hang = g.of(ci)
+    hang_label = g.hang_label(hang)
 
-    if hang in (None, PLUS):
-        end = _run_end(view, run, pos, -1, MINUS)
-        _ensure(end > 0 and view.chains[run[end - 1] - 1].is_odd
-                and not any(view.chains[cj - 1].is_odd for cj in run[end:pos]),
+    if hang_label in (None, PLUS):
+        end = _run_end(labels, run, pos, -1, MINUS)
+        _ensure(end > 0 and len(run[end - 1]) % 2 == 1
+                and not any(len(nodes) % 2 for nodes in run[end:pos]),
                 "the even '-'-starting chains below C rest on an odd chain",
-                tree, c.index)
-        adjoint = view.chains[run[end - 1] - 1]
-        if c.level == 0:
-            case = "I" if adjoint.length == 1 else "II"
+                g.tree, ci)
+        adjoint = run[end - 1]
+        if hang is None:
+            case = "I" if len(adjoint) == 1 else "II"
         else:
-            case = "III" if adjoint.length == 1 else "IV"
-        return AdjointResult(adjoint.index, case, None)
+            case = "III" if len(adjoint) == 1 else "IV"
+        return AdjointResult(g.chain_of[adjoint[0]], case, None)
 
     # Hang node labeled '-': the adjoint is where the '+'-starting run stops.
-    end = _run_end(view, run, pos, 1, PLUS)
-    adjoint_idx = run[end]
-    pivot = view.chains[run[end + 1] - 1].terminal if end + 1 < len(run) else group.hang_node
-    _ensure(adjoint_idx != c.index, "a chain is not its own adjoint", tree, c.index)
-    adjoint = view.chains[adjoint_idx - 1]
-    _ensure(adjoint.is_odd and adjoint.starts_with == PLUS,
-            "the adjoint is an odd '+'-starting chain", tree, c.index)
-    case = "V" if c.length == 1 else "VI"
-    return AdjointResult(adjoint_idx, case, pivot)
+    end = _run_end(labels, run, pos, 1, PLUS)
+    adjoint = run[end]
+    pivot = run[end + 1][0] if end + 1 < len(run) else hang
+    _ensure(end != pos, "a chain is not its own adjoint", g.tree, ci)
+    _ensure(len(adjoint) % 2 == 1 and labels[adjoint[0] - 1] == PLUS,
+            "the adjoint is an odd '+'-starting chain", g.tree, ci)
+    case = "V" if len(run[pos]) == 1 else "VI"
+    return AdjointResult(g.chain_of[adjoint[0]], case, pivot)
 
 
-def _lock_run_repair(tree: DiskTree, view: RightChainView, violation: Violation,
-                     run: tuple[int, ...], pos: int, case: int,
+def _lock_run_repair(g: _Groups, violation: Violation, run: list, pos: int, case: int,
                      attach_node: int) -> RepairResult:
     """Cases 1-4: L is the last chain of the maximal ``-``-starting run
     upward from ``run[pos]``, and is even and ends ``+``."""
-    l_chain = view.chains[run[_run_end(view, run, pos, 1, MINUS)] - 1]
-    _ensure(not l_chain.is_odd and tree.labels()[l_chain.tail - 1] == PLUS,
-            "L is even and ends '+'", tree, violation)
+    l_nodes = run[_run_end(g.labels, run, pos, 1, MINUS)]
+    _ensure(len(l_nodes) % 2 == 0 and g.labels[l_nodes[-1] - 1] == PLUS,
+            "L is even and ends '+'", g.tree, violation)
     attach_kind = "lock-left" if case % 2 else "attach-right"
-    return RepairResult(l_chain.index, case, l_chain.tail, attach_kind, attach_node)
+    return RepairResult(g.chain_of[l_nodes[0]], case, l_nodes[-1], attach_kind, attach_node)
 
 
 def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
@@ -242,64 +281,60 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     outside = family_one_violations(tree)
     if outside:
         raise FamilyError(f"find_repair_chain expects a tree in family one: {outside}")
-    return _repair(tree, own[own.index(violation)])
+    return _repair(_Groups(tree), own[own.index(violation)])
 
 
-def _repair(tree: DiskTree, violation: Violation) -> RepairResult:
+def _repair(g: _Groups, violation: Violation) -> RepairResult:
     """``find_repair_chain`` on a violation the tree itself reported."""
-    labels = tree.labels()
+    labels, chains, chain_of = g.labels, g.chains, g.chain_of
     kind, nodes = violation
-    view = tree.right_chains()
-    ix = tree._index()
 
-    if kind == "first-node-minus" or ix.right[nodes[0]]:
+    if kind == "first-node-minus" or g.right[nodes[0]]:
         # Case 1: node 1 is '-'.  Case 3: the pair straddles a hang, y being
         # the first node of the group hanging at N = right child of x.
         case, s, hang_node = (1, 1, None) if kind == "first-node-minus" else (
-            3, nodes[1], ix.right[nodes[0]])
-        first = view.chains[tree.chain_index_of(s) - 1]
-        group = view.groups[first.group - 1]
-        _ensure(first.terminal == s and first.starts_with == MINUS
-                and group.chains[0] == first.index and group.hang_node == hang_node
-                and _hang_label(tree, group) in (None, PLUS),
+            3, nodes[1], g.right[nodes[0]])
+        run, pos, hang = g.of(chain_of[s])
+        _ensure(run[pos][0] == s and labels[s - 1] == MINUS
+                and pos == 0 and hang == hang_node
+                and g.hang_label(hang) in (None, PLUS),
                 "s is a '-' node opening a group that hangs at no node or at a '+' node",
-                tree, violation)
-        return _lock_run_repair(tree, view, violation, group.chains, 0, case, s)
+                g.tree, violation)
+        return _lock_run_repair(g, violation, run, 0, case, s)
 
     x, y = nodes
-    k_idx = tree.chain_index_of(x)
-    k_chain = view.chains[k_idx - 1]
-    _ensure(k_chain.tail == x, "the first node of a '-' pair ends its chain",
-            tree, violation)
-    group = view.groups[k_chain.group - 1]
-    _ensure(ix.parent[k_chain.terminal] == y, "y is the parent of the terminal of x's chain",
-            tree, violation)
+    k_idx = chain_of[x]
+    k_nodes = chains[k_idx - 1]
+    _ensure(k_nodes[-1] == x, "the first node of a '-' pair ends its chain",
+            g.tree, violation)
+    run, pos, hang = g.of(k_idx)
+    _ensure(g.parent[k_nodes[0]] == y, "y is the parent of the terminal of x's chain",
+            g.tree, violation)
 
-    z_idx = tree.chain_index_of(y)
-    if y == view.chains[z_idx - 1].terminal:
+    z_idx = chain_of[y]
+    if y == chains[z_idx - 1][0]:
         # Lock pair inside one group: dispatch on the group's hang node.
-        _ensure(view.chains[z_idx - 1].group == k_chain.group,
-                "a lock pair lies in one group", tree, violation)
-        hang = _hang_label(tree, group)
-        if hang in (None, PLUS):
-            return _lock_run_repair(tree, view, violation, group.chains,
-                                    group.chains.index(z_idx), 2 if hang is None else 4, x)
+        z_run, z_pos, _ = g.of(z_idx)
+        _ensure(z_run is run, "a lock pair lies in one group", g.tree, violation)
+        hang_label = g.hang_label(hang)
+        if hang_label in (None, PLUS):
+            return _lock_run_repair(g, violation, run, z_pos,
+                                    2 if hang_label is None else 4, x)
         # Hang node '-': fall through, the pivot is y and L is x's chain.
     else:
         # The pair straddles levels: y is the hang node of x's group.
-        _ensure(group.hang_node == y, "y is the hang node of x's group", tree, violation)
+        _ensure(hang == y, "y is the hang node of x's group", g.tree, violation)
 
     # Cases 5/6: L is the even '+'-starting chain ending at x.
-    _ensure(not k_chain.is_odd and k_chain.starts_with == PLUS,
-            "x's chain is even and starts '+'", tree, violation)
-    run = group.chains
-    end = _run_end(view, run, run.index(k_idx), -1, PLUS)
+    _ensure(len(k_nodes) % 2 == 0 and labels[k_nodes[0] - 1] == PLUS,
+            "x's chain is even and starts '+'", g.tree, violation)
+    end = _run_end(labels, run, pos, -1, PLUS)
     if end == 0:
-        return RepairResult(k_idx, 5, x, "lock-left", view.chains[run[0] - 1].terminal)
-    one_l = view.chains[run[end - 1] - 1]
-    _ensure(not one_l.is_odd and labels[one_l.tail - 1] == PLUS,
-            "the chain below is even and ends '+'", tree, violation)
-    return RepairResult(k_idx, 6, x, "attach-right", one_l.tail)
+        return RepairResult(k_idx, 5, x, "lock-left", run[0][0])
+    one_l = run[end - 1]
+    _ensure(len(one_l) % 2 == 0 and labels[one_l[-1] - 1] == PLUS,
+            "the chain below is even and ends '+'", g.tree, violation)
+    return RepairResult(k_idx, 6, x, "attach-right", one_l[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +389,19 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
     """Moves taking a family-two tree to family one (empty on fixed points).
 
-    The odd ``-``-starting chains come from the chain walk; the full
-    ``right_chains`` view is built only when there is one to repair.
+    The odd ``-``-starting chains come from the chain walk; each adjoint
+    search reads only its chain's group, from the tree's links.
     """
-    labels = tree.labels()
+    g = _Groups(tree)
+    labels = g.labels
     ops = []
     for violation in family_one_violations(tree):
-        view = tree.right_chains()
-        c = view.chains[tree.chain_index_of(violation.nodes[0]) - 1]
+        ci = g.chain_of[violation.nodes[0]]
         c_tail = violation.nodes[-1]
-        found = _adjoint(tree, view, c)
-        adj_tail = view.chains[found.chain - 1].tail
+        found = _adjoint(g, ci)
+        adj_tail = g.chains[found.chain - 1][-1]
         _ensure(labels[adj_tail - 1] == PLUS and labels[c_tail - 1] == MINUS,
-                "the adjoint ends '+' and C ends '-'", tree, c.index)
+                "the adjoint ends '+' and C ends '-'", tree, ci)
         if found.case in ("I", "II", "III", "IV"):
             ops.append(SurgeryOp(adj_tail, "attach-right", c_tail, found.case))
         else:
@@ -376,9 +411,10 @@ def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
 
 def phi_plan(tree: DiskTree) -> list[SurgeryOp]:
     """Moves taking a family-one tree back to family two."""
+    g = _Groups(tree)
     ops = []
     for violation in family_two_violations(tree):
-        found = _repair(tree, violation)
+        found = _repair(g, violation)
         ops.append(
             SurgeryOp(found.cut_node, found.attach_kind, found.attach_node, str(found.case))
         )

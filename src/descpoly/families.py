@@ -133,7 +133,7 @@ def _lagrange_sum(n: int, m: int) -> list[int]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def separable_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of separable permutations.
 
@@ -190,7 +190,7 @@ def separable_gamma(n: int) -> GammaVector:
     return gamma_decompose(separable_poly(n), n - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Gamma polynomial of S_n(t) as a polynomial in x.
 
@@ -258,7 +258,7 @@ def _descent_recurrence(member, n: int, top: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of derangements, D_1 = 0, D_2 = t.
 
@@ -273,7 +273,7 @@ def derangement_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     return _descent_recurrence(derangement_poly, n, (-1) ** n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eulerian_poly(n: int, method: str = "recurrence") -> IntPolynomial:
     """Descent polynomial of all permutations, A_1 = 1.
 

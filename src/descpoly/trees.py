@@ -193,7 +193,8 @@ class DiskTree(CheckedTree):
         """In-order ids of each right chain, terminal first, in chain order.
 
         One walk, cached on the tree.  It is all that family membership
-        reads, and the first step of ``right_chains``.
+        reads, what the bijection's searches read beside the links, and
+        the first step of ``right_chains``.
         """
         return self._walk()[0]
 
@@ -202,7 +203,8 @@ class DiskTree(CheckedTree):
 
         The chains come from ``chain_nodes``; levels, groups and the
         lock/hang attachments are built here, on the first call, and
-        cached.  Only the bijection's searches need them.
+        cached.  It is the public view (the CLI's ``tree`` command); the
+        bijection's searches read the few groups they need from the links.
         """
         try:
             return self._view_memo

@@ -171,6 +171,19 @@ def test_find_adjoint_refuses_only_outside_family_two_to_n6():
     assert searched > refused > 0
 
 
+def _run_the_maps_and_certificates():
+    """psi, phi and the order check on the forty-node pair, and the
+    certificates of n = 7; returns the pair."""
+    source = DiskTree.parse(FIXTURES["forty_node_pair"]["source"])
+    image = psi(source)
+    assert phi(image) == source
+    assert order_independence_certificate(source) and order_independence_certificate(image)
+    for k in range(4):
+        cert = bijection_certificate(7, k)
+        assert cert["bijection_ok"] and cert["dt1_count"] == separable_gamma(7)[k]
+    return source, image
+
+
 def test_no_map_or_certificate_calls_the_public_searches(monkeypatch):
     # The maps search the sites they derived themselves with the private
     # searches, so the public searches' family check costs them nothing.
@@ -179,13 +192,20 @@ def test_no_map_or_certificate_calls_the_public_searches(monkeypatch):
 
     for name in ("find_adjoint", "find_repair_chain"):
         monkeypatch.setattr(descpoly.bijection, name, refuse)
-    source = DiskTree.parse(FIXTURES["forty_node_pair"]["source"])
-    image = psi(source)
-    assert phi(image) == source
-    assert order_independence_certificate(source) and order_independence_certificate(image)
-    for k in range(4):
-        cert = bijection_certificate(7, k)
-        assert cert["bijection_ok"] and cert["dt1_count"] == separable_gamma(7)[k]
+    _run_the_maps_and_certificates()
+
+
+def test_the_maps_and_searches_build_no_chain_view(monkeypatch):
+    # The searches read chains and groups from the tree's links and chain
+    # walk; none of them, and no map or certificate, builds the view.
+    def refuse(self):
+        raise RuntimeError("the right-chain view was built")
+
+    monkeypatch.setattr(DiskTree, "right_chains", refuse)
+    source, image = _run_the_maps_and_certificates()
+    assert [find_adjoint(source, source.chain_index_of(v.nodes[0]))
+            for v in family_one_violations(source)]
+    assert [find_repair_chain(image, v) for v in family_two_violations(image)]
 
 
 def test_phi_plan_is_the_checked_search_to_n8():

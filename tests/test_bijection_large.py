@@ -7,7 +7,11 @@ compared by text, never with ``==`` on nested roots, which recurses in C
 once per level.
 
 ``apply_ops`` is held to a test-local image rebuilt the same way, on every
-tree of either family with n <= 8 and on the deep left spine.
+tree of either family with n <= 8 and on the deep left spine.  The
+searches, which read chains and groups from the tree's links, are held to
+a test-local copy that reads them from the ``right_chains`` view, as the
+library once did: every search result and plan, on every tree with n <= 9,
+on the random trees and on the deep left spine.
 """
 
 import random
@@ -15,8 +19,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from descpoly.bijection import (
+    AdjointResult,
+    RepairResult,
+    SurgeryOp,
     apply_ops,
     classify,
+    family_one_violations,
+    family_two_violations,
+    find_adjoint,
+    find_repair_chain,
     order_independence_certificate,
     phi,
     phi_plan,
@@ -108,10 +119,115 @@ def family_two_tree(m, rng):
     return DiskTree(_triples(root, left, right, labels))
 
 
+# ---------------------------------------------------------------------------
+# the searches as they read the right-chain view
+
+
+def _run_end(view, run, pos, step, label):
+    """The last position of ``run`` reached from ``pos`` by steps of
+    ``step`` onto chains that start with ``label``."""
+    while 0 <= pos + step < len(run) and view.chains[run[pos + step] - 1].starts_with == label:
+        pos += step
+    return pos
+
+
+def _hang_label(tree, group):
+    return None if group.hang_node is None else tree.labels()[group.hang_node - 1]
+
+
+def view_adjoint(tree, chain_index):
+    """The adjoint of an odd '-'-starting chain of a family-two tree, read
+    from the view's chain records, group runs and levels."""
+    view = tree.right_chains()
+    c = view.chains[chain_index - 1]
+    group = view.groups[c.group - 1]
+    run = group.chains
+    pos = run.index(c.index)
+    if _hang_label(tree, group) in (None, PLUS):
+        adjoint = view.chains[run[_run_end(view, run, pos, -1, MINUS) - 1] - 1]
+        if c.level == 0:
+            case = "I" if adjoint.length == 1 else "II"
+        else:
+            case = "III" if adjoint.length == 1 else "IV"
+        return AdjointResult(adjoint.index, case, None)
+    end = _run_end(view, run, pos, 1, PLUS)
+    pivot = view.chains[run[end + 1] - 1].terminal if end + 1 < len(run) else group.hang_node
+    return AdjointResult(run[end], "V" if c.length == 1 else "VI", pivot)
+
+
+def _view_lock_run_repair(view, run, pos, case, attach_node):
+    l_chain = view.chains[run[_run_end(view, run, pos, 1, MINUS)] - 1]
+    attach_kind = "lock-left" if case % 2 else "attach-right"
+    return RepairResult(l_chain.index, case, l_chain.tail, attach_kind, attach_node)
+
+
+def view_repair(tree, violation):
+    """The repair chain of a family-two violation of a family-one tree,
+    read from the view."""
+    kind, nodes = violation
+    view = tree.right_chains()
+    ix = tree._index()
+    if kind == "first-node-minus" or ix.right[nodes[0]]:
+        case, s = (1, 1) if kind == "first-node-minus" else (3, nodes[1])
+        group = view.groups[view.chains[tree.chain_index_of(s) - 1].group - 1]
+        return _view_lock_run_repair(view, group.chains, 0, case, s)
+    x, y = nodes
+    k_idx = tree.chain_index_of(x)
+    group = view.groups[view.chains[k_idx - 1].group - 1]
+    z_idx = tree.chain_index_of(y)
+    if y == view.chains[z_idx - 1].terminal:
+        hang = _hang_label(tree, group)
+        if hang in (None, PLUS):
+            return _view_lock_run_repair(view, group.chains, group.chains.index(z_idx),
+                                         2 if hang is None else 4, x)
+    run = group.chains
+    end = _run_end(view, run, run.index(k_idx), -1, PLUS)
+    if end == 0:
+        return RepairResult(k_idx, 5, x, "lock-left", view.chains[run[0] - 1].terminal)
+    return RepairResult(k_idx, 6, x, "attach-right", view.chains[run[end - 1] - 1].tail)
+
+
+def assert_searches_agree_with_the_view(tree):
+    """Each search result and each plan of the tree's families is the
+    view's; returns the number of sites searched."""
+    m = classify(tree)
+    sites = 0
+    if m.in_dt2:
+        ops = []
+        for v in family_one_violations(tree):
+            ci = tree.chain_index_of(v.nodes[0])
+            found = view_adjoint(tree, ci)
+            assert find_adjoint(tree, ci) == found, (tree, v)
+            adj_tail = tree.chain_nodes()[found.chain - 1][-1]
+            ops.append(SurgeryOp(adj_tail, "attach-right", v.nodes[-1], found.case)
+                       if found.case in ("I", "II", "III", "IV") else
+                       SurgeryOp(v.nodes[-1], "attach-right", adj_tail, found.case))
+        assert psi_plan(tree) == ops, tree
+        sites += len(ops)
+    if m.in_dt1:
+        ops = []
+        for v in family_two_violations(tree):
+            found = view_repair(tree, v)
+            assert find_repair_chain(tree, v) == found, (tree, v)
+            ops.append(SurgeryOp(found.cut_node, found.attach_kind, found.attach_node,
+                                 str(found.case)))
+        assert phi_plan(tree) == ops, tree
+        sites += len(ops)
+    return sites
+
+
+def test_searches_agree_with_the_view_to_n9():
+    sites = sum(assert_searches_agree_with_the_view(t)
+                for n in range(1, 10) for t in enumerate_trees(n))
+    assert sites > 1948  # the pinned results to n = 8, and n = 9's
+
+
 def _check_round_trip(tree, forward, backward, seed):
     text = tree.to_text()
     before = classify(tree)
     image = forward(tree)
+    assert_searches_agree_with_the_view(tree)
+    assert_searches_agree_with_the_view(image)
     after = classify(image)
     assert backward(image).to_text() == text
     assert image.n_minus() == tree.n_minus()
@@ -159,6 +275,28 @@ def test_maps_on_a_deep_left_spine():
     image = phi(tree)
     assert classify(image).in_dt2
     assert psi(image).to_text() == tree.to_text()
+
+
+def test_searches_agree_with_the_view_on_a_deep_left_spine():
+    tree = deep_left_spine()
+    assert assert_searches_agree_with_the_view(tree) > 100
+    assert assert_searches_agree_with_the_view(phi(tree)) > 100
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(1000, 2000), st.randoms(use_true_random=False))
+def test_order_independence_on_large_family_one_trees(m, rng):
+    tree = family_one_tree(m, rng)
+    assert classify(tree).in_dt1
+    assert order_independence_certificate(tree, trials=2, seed=m)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(1000, 2000), st.randoms(use_true_random=False))
+def test_order_independence_on_large_family_two_trees(m, rng):
+    tree = family_two_tree(m, rng)
+    assert classify(tree).in_dt2
+    assert order_independence_certificate(tree, trials=2, seed=m)
 
 
 def rebuilt_image(tree, ops):

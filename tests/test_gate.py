@@ -107,9 +107,21 @@ def test_the_cache_refuses_before_touching_a_file(tmp_path):
 
 def test_a_memoized_order_does_not_admit_its_bool():
     # A one-argument call keys a bool apart from the equal int, so the
-    # gate runs on the miss and refuses it.  (With an explicit method the
-    # memo's key is a tuple, where True == 1, so separable_poly(True,
-    # "enum") may be answered from the memo of separable_poly(1, "enum").)
+    # gate runs on the miss and refuses it.
     families.separable_poly(1)
     with pytest.raises(ValueError, match="^n must be an int of at least 1, got True$"):
         families.separable_poly(True)
+
+
+@pytest.mark.parametrize("member", [families.separable_poly, families.derangement_poly,
+                                    families.eulerian_poly, families.gamma_poly],
+                         ids=lambda member: member.__name__)
+@pytest.mark.parametrize("method", ["recurrence", "enum"])
+def test_a_memoized_order_with_its_method_does_not_admit_its_bool_or_float(member, method):
+    # With an explicit method the memo's key is a tuple, where True == 1
+    # and 2.0 == 2; the memo keys each argument's type too, so the gate
+    # runs on the miss.
+    for n, other in ((1, True), (2, 2.0)):
+        member(n, method)
+        with pytest.raises(ValueError, match=f"^n must be an int of at least 1, got {other!r}$"):
+            member(other, method)
