@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 from .nested import MINUS, PLUS, index_links
-from .trees import DiskTree, enumerate_trees
+from .trees import DiskTree, _group_walk, enumerate_trees
 from .value import need
 
 
@@ -96,7 +96,8 @@ def classify(tree: DiskTree) -> GammaFamilyMembership:
 
     Family one is read off the chain walk ``tree.chain_nodes()`` (chain
     starts and lengths) and family two off the labels alone; neither needs
-    the levels, groups and attachments of ``right_chains``.
+    a chain's group, which the searches and ``right_chains`` read through
+    ``trees._group_walk``.
 
     >>> m = classify(DiskTree.parse("(- (+ _ _) _)"))
     >>> m.n_minus, m.in_dt1, m.in_dt2, m.odd_chain_excess
@@ -138,53 +139,19 @@ class RepairResult(NamedTuple):
     attach_node: int          # new parent of the cut node
 
 
-class _Groups:
-    """The chains and groups one plan reads, from the tree's links.
-
-    A group is a left spine of terminals: climbing from a terminal while
-    the parent is itself a terminal (a lock) ends at the root, for the root
-    group (level 0, no hang node), or below a non-terminal, the hang node.
-    The run, bottom-up in chain order, is the left spine below that top.
-    Each group is walked on its first query and kept for the rest of the
-    plan, so a plan reads only the groups of its sites and builds no
-    ``right_chains`` view.
-    """
-
-    __slots__ = ("tree", "labels", "chains", "chain_of", "left", "right", "parent", "_memo")
-
-    def __init__(self, tree: DiskTree):
-        ix = tree._kept_index()
-        self.tree, self.labels = tree, tree.labels()
-        self.chains, self.chain_of = tree._walk()
-        self.left, self.right, self.parent = ix.left, ix.right, ix.parent
-        self._memo: dict = {}
-
-    def of(self, ci: int) -> tuple[list, int, Optional[int]]:
-        """Chain ``ci``'s group: its run (each chain's nodes, bottom-up),
-        the position of ``ci`` in it, and the hang node (None for the
-        root group)."""
-        try:
-            return self._memo[ci]
-        except KeyError:
-            pass
-        chains, chain_of, left, right, parent = (
-            self.chains, self.chain_of, self.left, self.right, self.parent)
-        top = chains[ci - 1][0]
-        p = parent[top]
-        while p and right[parent[p]] != p:  # p is the root or a left child
-            top, p = p, parent[p]
-        run = []
-        while top:
-            run.append(chains[chain_of[top] - 1])
-            top = left[top]
-        run.reverse()
-        hang = p or None
-        for pos, nodes in enumerate(run):
-            self._memo[chain_of[nodes[0]]] = (run, pos, hang)
-        return self._memo[ci]
-
-    def hang_label(self, hang: Optional[int]) -> Optional[str]:
-        return None if hang is None else self.labels[hang - 1]
+def _group(tree: DiskTree, memo: dict, ci: int) -> tuple[list, int, Optional[int]]:
+    """Chain ``ci``'s group from ``trees._group_walk``: its run, the
+    position of ``ci`` in it, and the hang node.  ``memo`` lives for one
+    plan, so each group is walked once however many sites it holds."""
+    try:
+        return memo[ci]
+    except KeyError:
+        pass
+    chains, chain_of = tree._walk()
+    run, hang = _group_walk(tree._kept_index(), chains, chain_of, ci)
+    for pos, nodes in enumerate(run):
+        memo[chain_of[nodes[0]]] = (run, pos, hang)
+    return memo[ci]
 
 
 def _run_end(labels: tuple[str, ...], run: list, pos: int, step: int, label: str) -> int:
@@ -205,12 +172,13 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     terminal is the pivot N_* (defaulting to the hang node itself), and the
     adjoint is the chain whose terminal is the pivot's left child.
 
-    Raises FamilyError for an index outside 1..r, for a chain C that is
-    not odd and ``-``-starting, and for a tree outside family two, naming
-    its violations.
+    Raises FamilyError for an index that is not an ``int`` in 1..r (a
+    bool or float included), for a chain C that is not odd and
+    ``-``-starting, and for a tree outside family two, naming its
+    violations.
     """
     chains = tree.chain_nodes()
-    if not 1 <= chain_index <= len(chains):
+    if type(chain_index) is not int or not 1 <= chain_index <= len(chains):
         raise FamilyError(f"chain index {chain_index} out of range 1..{len(chains)}")
     nodes = chains[chain_index - 1]
     if not (len(nodes) % 2 == 1 and tree.labels()[nodes[0] - 1] == MINUS):
@@ -218,48 +186,49 @@ def find_adjoint(tree: DiskTree, chain_index: int) -> AdjointResult:
     outside = family_two_violations(tree)
     if outside:
         raise FamilyError(f"find_adjoint expects a tree in family two: {outside}")
-    return _adjoint(_Groups(tree), chain_index)
+    return _adjoint(tree, {}, chain_index)
 
 
-def _adjoint(g: _Groups, ci: int) -> AdjointResult:
+def _adjoint(tree: DiskTree, memo: dict, ci: int) -> AdjointResult:
     """``find_adjoint`` on an odd ``-``-starting chain ``ci`` of the tree."""
-    labels = g.labels
-    run, pos, hang = g.of(ci)
-    hang_label = g.hang_label(hang)
+    labels, chain_of = tree.labels(), tree._walk()[1]
+    run, pos, hang = _group(tree, memo, ci)
+    hang_label = None if hang is None else labels[hang - 1]
 
     if hang_label in (None, PLUS):
         end = _run_end(labels, run, pos, -1, MINUS)
         _ensure(end > 0 and len(run[end - 1]) % 2 == 1
                 and not any(len(nodes) % 2 for nodes in run[end:pos]),
                 "the even '-'-starting chains below C rest on an odd chain",
-                g.tree, ci)
+                tree, ci)
         adjoint = run[end - 1]
         if hang is None:
             case = "I" if len(adjoint) == 1 else "II"
         else:
             case = "III" if len(adjoint) == 1 else "IV"
-        return AdjointResult(g.chain_of[adjoint[0]], case, None)
+        return AdjointResult(chain_of[adjoint[0]], case, None)
 
     # Hang node labeled '-': the adjoint is where the '+'-starting run stops.
     end = _run_end(labels, run, pos, 1, PLUS)
     adjoint = run[end]
     pivot = run[end + 1][0] if end + 1 < len(run) else hang
-    _ensure(end != pos, "a chain is not its own adjoint", g.tree, ci)
+    _ensure(end != pos, "a chain is not its own adjoint", tree, ci)
     _ensure(len(adjoint) % 2 == 1 and labels[adjoint[0] - 1] == PLUS,
-            "the adjoint is an odd '+'-starting chain", g.tree, ci)
+            "the adjoint is an odd '+'-starting chain", tree, ci)
     case = "V" if len(run[pos]) == 1 else "VI"
-    return AdjointResult(g.chain_of[adjoint[0]], case, pivot)
+    return AdjointResult(chain_of[adjoint[0]], case, pivot)
 
 
-def _lock_run_repair(g: _Groups, violation: Violation, run: list, pos: int, case: int,
+def _lock_run_repair(tree: DiskTree, violation: Violation, run: list, pos: int, case: int,
                      attach_node: int) -> RepairResult:
     """Cases 1-4: L is the last chain of the maximal ``-``-starting run
     upward from ``run[pos]``, and is even and ends ``+``."""
-    l_nodes = run[_run_end(g.labels, run, pos, 1, MINUS)]
-    _ensure(len(l_nodes) % 2 == 0 and g.labels[l_nodes[-1] - 1] == PLUS,
-            "L is even and ends '+'", g.tree, violation)
+    labels, chain_of = tree.labels(), tree._walk()[1]
+    l_nodes = run[_run_end(labels, run, pos, 1, MINUS)]
+    _ensure(len(l_nodes) % 2 == 0 and labels[l_nodes[-1] - 1] == PLUS,
+            "L is even and ends '+'", tree, violation)
     attach_kind = "lock-left" if case % 2 else "attach-right"
-    return RepairResult(g.chain_of[l_nodes[0]], case, l_nodes[-1], attach_kind, attach_node)
+    return RepairResult(chain_of[l_nodes[0]], case, l_nodes[-1], attach_kind, attach_node)
 
 
 def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
@@ -281,59 +250,60 @@ def find_repair_chain(tree: DiskTree, violation: Violation) -> RepairResult:
     outside = family_one_violations(tree)
     if outside:
         raise FamilyError(f"find_repair_chain expects a tree in family one: {outside}")
-    return _repair(_Groups(tree), own[own.index(violation)])
+    return _repair(tree, {}, own[own.index(violation)])
 
 
-def _repair(g: _Groups, violation: Violation) -> RepairResult:
+def _repair(tree: DiskTree, memo: dict, violation: Violation) -> RepairResult:
     """``find_repair_chain`` on a violation the tree itself reported."""
-    labels, chains, chain_of = g.labels, g.chains, g.chain_of
+    labels, ix = tree.labels(), tree._kept_index()
+    chains, chain_of = tree._walk()
     kind, nodes = violation
 
-    if kind == "first-node-minus" or g.right[nodes[0]]:
+    if kind == "first-node-minus" or ix.right[nodes[0]]:
         # Case 1: node 1 is '-'.  Case 3: the pair straddles a hang, y being
         # the first node of the group hanging at N = right child of x.
         case, s, hang_node = (1, 1, None) if kind == "first-node-minus" else (
-            3, nodes[1], g.right[nodes[0]])
-        run, pos, hang = g.of(chain_of[s])
+            3, nodes[1], ix.right[nodes[0]])
+        run, pos, hang = _group(tree, memo, chain_of[s])
         _ensure(run[pos][0] == s and labels[s - 1] == MINUS
                 and pos == 0 and hang == hang_node
-                and g.hang_label(hang) in (None, PLUS),
+                and (hang is None or labels[hang - 1] == PLUS),
                 "s is a '-' node opening a group that hangs at no node or at a '+' node",
-                g.tree, violation)
-        return _lock_run_repair(g, violation, run, 0, case, s)
+                tree, violation)
+        return _lock_run_repair(tree, violation, run, 0, case, s)
 
     x, y = nodes
     k_idx = chain_of[x]
     k_nodes = chains[k_idx - 1]
     _ensure(k_nodes[-1] == x, "the first node of a '-' pair ends its chain",
-            g.tree, violation)
-    run, pos, hang = g.of(k_idx)
-    _ensure(g.parent[k_nodes[0]] == y, "y is the parent of the terminal of x's chain",
-            g.tree, violation)
+            tree, violation)
+    run, pos, hang = _group(tree, memo, k_idx)
+    _ensure(ix.parent[k_nodes[0]] == y, "y is the parent of the terminal of x's chain",
+            tree, violation)
 
     z_idx = chain_of[y]
     if y == chains[z_idx - 1][0]:
         # Lock pair inside one group: dispatch on the group's hang node.
-        z_run, z_pos, _ = g.of(z_idx)
-        _ensure(z_run is run, "a lock pair lies in one group", g.tree, violation)
-        hang_label = g.hang_label(hang)
+        z_run, z_pos, _ = _group(tree, memo, z_idx)
+        _ensure(z_run is run, "a lock pair lies in one group", tree, violation)
+        hang_label = None if hang is None else labels[hang - 1]
         if hang_label in (None, PLUS):
-            return _lock_run_repair(g, violation, run, z_pos,
+            return _lock_run_repair(tree, violation, run, z_pos,
                                     2 if hang_label is None else 4, x)
         # Hang node '-': fall through, the pivot is y and L is x's chain.
     else:
         # The pair straddles levels: y is the hang node of x's group.
-        _ensure(hang == y, "y is the hang node of x's group", g.tree, violation)
+        _ensure(hang == y, "y is the hang node of x's group", tree, violation)
 
     # Cases 5/6: L is the even '+'-starting chain ending at x.
     _ensure(len(k_nodes) % 2 == 0 and labels[k_nodes[0] - 1] == PLUS,
-            "x's chain is even and starts '+'", g.tree, violation)
+            "x's chain is even and starts '+'", tree, violation)
     end = _run_end(labels, run, pos, -1, PLUS)
     if end == 0:
         return RepairResult(k_idx, 5, x, "lock-left", run[0][0])
     one_l = run[end - 1]
     _ensure(len(one_l) % 2 == 0 and labels[one_l[-1] - 1] == PLUS,
-            "the chain below is even and ends '+'", g.tree, violation)
+            "the chain below is even and ends '+'", tree, violation)
     return RepairResult(k_idx, 6, x, "attach-right", one_l[-1])
 
 
@@ -390,16 +360,18 @@ def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
     """Moves taking a family-two tree to family one (empty on fixed points).
 
     The odd ``-``-starting chains come from the chain walk; each adjoint
-    search reads only its chain's group, from the tree's links.
+    search reads only its chain's group, through ``trees._group_walk``,
+    walked once per group for the whole plan.
     """
-    g = _Groups(tree)
-    labels = g.labels
+    labels = tree.labels()
+    chains, chain_of = tree._walk()
+    memo: dict = {}
     ops = []
     for violation in family_one_violations(tree):
-        ci = g.chain_of[violation.nodes[0]]
+        ci = chain_of[violation.nodes[0]]
         c_tail = violation.nodes[-1]
-        found = _adjoint(g, ci)
-        adj_tail = g.chains[found.chain - 1][-1]
+        found = _adjoint(tree, memo, ci)
+        adj_tail = chains[found.chain - 1][-1]
         _ensure(labels[adj_tail - 1] == PLUS and labels[c_tail - 1] == MINUS,
                 "the adjoint ends '+' and C ends '-'", tree, ci)
         if found.case in ("I", "II", "III", "IV"):
@@ -410,11 +382,12 @@ def psi_plan(tree: DiskTree) -> list[SurgeryOp]:
 
 
 def phi_plan(tree: DiskTree) -> list[SurgeryOp]:
-    """Moves taking a family-one tree back to family two."""
-    g = _Groups(tree)
+    """Moves taking a family-one tree back to family two, each group
+    walked once for the whole plan."""
+    memo: dict = {}
     ops = []
     for violation in family_two_violations(tree):
-        found = _repair(g, violation)
+        found = _repair(tree, memo, violation)
         ops.append(
             SurgeryOp(found.cut_node, found.attach_kind, found.attach_node, str(found.case))
         )

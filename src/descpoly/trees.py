@@ -22,7 +22,8 @@ chains are **locked** and sit at the same level; if it is the left child of
 a non-terminal node the later chain **hangs** one level deeper.  The chains
 of one level that are locked to each other form a *group*: their terminals
 lie on a single left chain, and each non-root group hangs from a specific
-node of a chain one level up.
+node of a chain one level up.  One walk, ``_group_walk``, states that
+rule; the right-chain view and the bijection's searches both read it.
 
 Text serialization is the nested form ``(label left right)`` with ``_``
 for an empty subtree, e.g. ``(- (+ _ _) _)``.
@@ -89,6 +90,29 @@ def _chain_walk(ix: Index) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
             v = right[v]
         chains.append(tuple(nodes))
     return tuple(chains), chain_of
+
+
+def _group_walk(ix: Index, chains: tuple[tuple[int, ...], ...], chain_of: list[int],
+                ci: int) -> tuple[list[tuple[int, ...]], Optional[int]]:
+    """Chain ``ci``'s group: its run (each chain's nodes, bottom-up in chain
+    order) and the node it hangs from (None for the root group).
+
+    A group is a left spine of terminals.  Climbing from ``ci``'s terminal
+    while the parent is a terminal too (the root or a left child: a lock)
+    ends at the root, for the root group, or below a non-terminal, the hang
+    node; the run is the left spine below that top.
+    """
+    left, right, parent = ix.left, ix.right, ix.parent
+    top = chains[ci - 1][0]
+    p = parent[top]
+    while p and right[parent[p]] != p:
+        top, p = p, parent[p]
+    run = []
+    while top:
+        run.append(chains[chain_of[top] - 1])
+        top = left[top]
+    run.reverse()
+    return run, p or None
 
 
 class ChainRecord(NamedTuple):
@@ -193,64 +217,58 @@ class DiskTree(CheckedTree):
         """In-order ids of each right chain, terminal first, in chain order.
 
         One walk, cached on the tree.  It is all that family membership
-        reads, what the bijection's searches read beside the links, and
-        the first step of ``right_chains``.
+        reads; ``_group_walk`` reads it beside the links, for both
+        ``right_chains`` and the bijection's searches.
         """
         return self._walk()[0]
 
     def right_chains(self) -> RightChainView:
         """Decompose into right chains with order, level, lock/hang, groups.
 
-        The chains come from ``chain_nodes``; levels, groups and the
-        lock/hang attachments are built here, on the first call, and
-        cached.  It is the public view (the CLI's ``tree`` command); the
-        bijection's searches read the few groups they need from the links.
+        The chains come from ``chain_nodes`` and each group from one
+        ``_group_walk``, opened by its first chain in chain order; built
+        on the first call and cached.  It is the public view (the CLI's
+        ``tree`` command); the bijection's searches read only the groups
+        of their sites, through the same walk.
         """
         try:
             return self._view_memo
         except AttributeError:
             pass
         ix = self._kept_index()
-        left, parent = ix.left, ix.parent
         raw_chains, chain_of = self._walk()
 
-        # Per chain: its level, its group key (the hang node, 0 for the root
-        # group) and its attachment.  Lock keeps the level and key of the
-        # parent chain; hang descends one level and keys a new group.
-        # Parents come first in reversed post-order, so the chain a terminal
-        # attaches to, whose terminal is an ancestor, is settled before it.
+        # A group's hang node lies on an earlier chain, whose level is set
+        # by then; the group sits one level deeper.  The run's last chain,
+        # its top, hangs (or roots the tree), and every chain below it locks.
         r = len(raw_chains)
-        level, key, attachment = [0] * (r + 1), [0] * (r + 1), ["root-group"] * (r + 1)
-        for t in reversed(ix.post):
-            p = parent[t]
-            if p == 0 or left[p] != t:
-                continue
-            ci, pc = chain_of[t], chain_of[p]
-            if p == raw_chains[pc - 1][0]:
-                level[ci], key[ci], attachment[ci] = level[pc], key[pc], "lock"
-            else:
-                level[ci], key[ci], attachment[ci] = level[pc] + 1, p, "hang"
-
-        # The runs of each group key, bottom-up, numbered in first-chain order.
-        runs: dict[int, list[int]] = {}
+        level, attachment, group = [0] * (r + 1), ["lock"] * (r + 1), [0] * (r + 1)
+        groups = []
         for ci in range(1, r + 1):
-            runs.setdefault(key[ci], []).append(ci)
-        group_id = {k: g for g, k in enumerate(runs, 1)}
+            if group[ci]:
+                continue
+            run, hang = _group_walk(ix, raw_chains, chain_of, ci)
+            g, depth = len(groups) + 1, 0 if hang is None else level[chain_of[hang]] + 1
+            members = []
+            for nodes in run:
+                c = chain_of[nodes[0]]
+                level[c], group[c] = depth, g
+                members.append(c)
+            attachment[c] = "root-group" if hang is None else "hang"
+            groups.append((g, tuple(members), depth, hang))
         # Records made positionally from columns: a keyword call per record
         # made the whole view about twice as slow.
         chains = tuple(map(ChainRecord._make, zip(
             range(1, r + 1), raw_chains, [ix.nodes[nodes[0]][0] for nodes in raw_chains],
-            level[1:], attachment[1:], [group_id[k] for k in key[1:]])))
-        groups = tuple(map(GroupRecord._make, zip(
-            range(1, len(runs) + 1), map(tuple, runs.values()),
-            [level[run[0]] for run in runs.values()], [k or None for k in runs])))
-        self._view_memo = RightChainView(chains, groups)
+            level[1:], attachment[1:], group[1:])))
+        self._view_memo = RightChainView(chains, tuple(map(GroupRecord._make, groups)))
         return self._view_memo
 
     def chain_index_of(self, node_id: int) -> int:
-        """Chain (1-based index in chain order) containing the given node."""
+        """Chain (1-based index in chain order) containing the given node;
+        KeyError for anything but the ``int`` id of a node."""
         chain_of = self._walk()[1]
-        if not 1 <= node_id < len(chain_of):
+        if type(node_id) is not int or not 1 <= node_id < len(chain_of):
             raise KeyError(node_id)
         return chain_of[node_id]
 
@@ -276,10 +294,11 @@ class DiskTree(CheckedTree):
         """Reverse every label on the i-th right chain (1-based chain order).
 
         An involution; flips on different chains commute, so the orbit of a
-        tree under all of them has size 2^r.
+        tree under all of them has size 2^r.  An index that is not an
+        ``int`` in 1..r raises ValueError.
         """
         chains = self.chain_nodes()
-        if not 1 <= i <= len(chains):
+        if type(i) is not int or not 1 <= i <= len(chains):
             raise ValueError(f"chain index {i} out of range 1..{len(chains)}")
         labels = [None, *self.labels()]
         for v in chains[i - 1]:

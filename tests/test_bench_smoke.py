@@ -1,21 +1,33 @@
-"""Smoke run of the benchmark's census workload from a fresh checkout root."""
+"""Smoke runs of the benchmark's census and sweep workloads from a fresh
+checkout root."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
+# Per pass of 67 sweep requests, the four deep ones (comb and zigzag of 1600
+# and 3200 entries) fail in the harness's own check: it compares the parsed
+# roots with ``==``, which recurses once per level.
+SWEEP_REQUESTS, SWEEP_DEEP_FAILURES = 67, 4
 
-def test_census_workload_prints_its_pinned_digest():
+
+@pytest.mark.parametrize("workload", ["census", "sweep"])
+def test_workload_prints_its_pinned_digest(workload):
     # At the default seed bench/run.py exits 1 with no metrics unless every
     # pass's outputs match the references and the pinned SHA-256, so a last
-    # line reading correct with no failed request is the pinned census.
+    # line reading correct is the pinned output: the census with no failed
+    # request, the sweep (which times right_chains) with only the deep ones.
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "census", "--seconds", "0.1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0.1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     last = json.loads(result.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True and last["failed"] == 0, last
+    allowed = 0 if workload == "census" else (
+        last["attempted"] // SWEEP_REQUESTS * SWEEP_DEEP_FAILURES)
+    assert last["correct"] is True and last["failed"] <= allowed, last

@@ -34,6 +34,7 @@ from descpoly.bijection import (
 )
 from descpoly.families import separable_gamma
 from descpoly.trees import DiskTree, enumerate_trees
+from test_bijection_large import deep_left_spine
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "fixtures" / "bijection_cases.json").read_text()
@@ -76,6 +77,11 @@ def test_find_adjoint_rejects_an_index_outside_the_chains():
     t = DiskTree.parse("(- (+ _ _) _)")
     r = t.right_chains().r
     for i in (0, -1, r + 1):
+        with pytest.raises(FamilyError, match=rf"^chain index {i} out of range 1\.\.{r}$"):
+            find_adjoint(t, i)
+    # A bool or float is no chain index, though it equals one: chain 2 is
+    # the odd '-'-starting one, chain 1 (True) the '+' one.
+    for i in (2.0, True, 1.0, False):
         with pytest.raises(FamilyError, match=rf"^chain index {i} out of range 1\.\.{r}$"):
             find_adjoint(t, i)
 
@@ -206,6 +212,51 @@ def test_the_maps_and_searches_build_no_chain_view(monkeypatch):
     assert [find_adjoint(source, source.chain_index_of(v.nodes[0]))
             for v in family_one_violations(source)]
     assert [find_repair_chain(image, v) for v in family_two_violations(image)]
+
+
+def _count_group_walks(monkeypatch):
+    """Count the searches' calls of the group walk; returns the list of calls."""
+    calls = []
+    walk = descpoly.bijection._group_walk
+    monkeypatch.setattr(descpoly.bijection, "_group_walk",
+                        lambda *a: calls.append(a[-1]) or walk(*a))
+    return calls
+
+
+def test_one_group_walk_per_plan_on_a_deep_left_spine(monkeypatch):
+    # Every site of the spine lies in its one group, of 1000 chains: a plan
+    # walks it once and reads the rest of its sites from the plan's memo.
+    calls = _count_group_walks(monkeypatch)
+    tree = deep_left_spine()
+    ops = phi_plan(tree)
+    assert len(ops) > 100 and len(calls) == 1
+    image = apply_ops(tree, ops)
+    del calls[:]
+    assert len(psi_plan(image)) == len(ops) and len(calls) == 1
+
+
+def test_no_plan_walks_more_often_than_its_tree_has_groups(monkeypatch):
+    calls = _count_group_walks(monkeypatch)
+    seen = []
+    for name in ("psi_plan", "phi_plan"):
+        plan = getattr(descpoly.bijection, name)
+
+        def counted(tree, _plan=plan):
+            before = len(calls)
+            ops = _plan(tree)
+            seen.append((len(calls) - before, len(tree.right_chains().groups), len(ops)))
+            return ops
+
+        monkeypatch.setattr(descpoly.bijection, name, counted)
+    mapped = 0
+    for k in range(7):
+        cert = bijection_certificate(7, k)
+        assert cert["bijection_ok"]
+        mapped += cert["dt2_count"]
+    # Each family-two tree's psi plan and its image's phi plan.
+    assert len(seen) == 2 * mapped > 0
+    assert all(walks <= groups for walks, groups, _ in seen)
+    assert any(walks < sites for walks, _, sites in seen)
 
 
 def test_phi_plan_is_the_checked_search_to_n8():

@@ -8,10 +8,13 @@ once per level.
 
 ``apply_ops`` is held to a test-local image rebuilt the same way, on every
 tree of either family with n <= 8 and on the deep left spine.  The
-searches, which read chains and groups from the tree's links, are held to
-a test-local copy that reads them from the ``right_chains`` view, as the
-library once did: every search result and plan, on every tree with n <= 9,
-on the random trees and on the deep left spine.
+searches, which read each group through ``trees._group_walk``, are held to
+a test-local copy that reads the groups of ``test_deep.keyword_view``, the
+right-chain view built by the reversed post-order rule that decides lock
+against hang node by node, as the library once did: ``right_chains`` now
+runs the searches' walk, so it is no independent reference.  Every search
+result and plan is checked, on every tree with n <= 9, on the random trees
+and on the deep left spine.
 """
 
 import random
@@ -36,6 +39,7 @@ from descpoly.bijection import (
 )
 from descpoly.nested import index
 from descpoly.trees import DiskTree, enumerate_trees
+from test_deep import keyword_view
 
 PLUS, MINUS = "+", "-"
 
@@ -135,10 +139,9 @@ def _hang_label(tree, group):
     return None if group.hang_node is None else tree.labels()[group.hang_node - 1]
 
 
-def view_adjoint(tree, chain_index):
+def view_adjoint(tree, view, chain_index):
     """The adjoint of an odd '-'-starting chain of a family-two tree, read
     from the view's chain records, group runs and levels."""
-    view = tree.right_chains()
     c = view.chains[chain_index - 1]
     group = view.groups[c.group - 1]
     run = group.chains
@@ -161,11 +164,10 @@ def _view_lock_run_repair(view, run, pos, case, attach_node):
     return RepairResult(l_chain.index, case, l_chain.tail, attach_kind, attach_node)
 
 
-def view_repair(tree, violation):
+def view_repair(tree, view, violation):
     """The repair chain of a family-two violation of a family-one tree,
     read from the view."""
     kind, nodes = violation
-    view = tree.right_chains()
     ix = tree._index()
     if kind == "first-node-minus" or ix.right[nodes[0]]:
         case, s = (1, 1) if kind == "first-node-minus" else (3, nodes[1])
@@ -191,12 +193,13 @@ def assert_searches_agree_with_the_view(tree):
     """Each search result and each plan of the tree's families is the
     view's; returns the number of sites searched."""
     m = classify(tree)
+    view = keyword_view(tree)
     sites = 0
     if m.in_dt2:
         ops = []
         for v in family_one_violations(tree):
             ci = tree.chain_index_of(v.nodes[0])
-            found = view_adjoint(tree, ci)
+            found = view_adjoint(tree, view, ci)
             assert find_adjoint(tree, ci) == found, (tree, v)
             adj_tail = tree.chain_nodes()[found.chain - 1][-1]
             ops.append(SurgeryOp(adj_tail, "attach-right", v.nodes[-1], found.case)
@@ -207,7 +210,7 @@ def assert_searches_agree_with_the_view(tree):
     if m.in_dt1:
         ops = []
         for v in family_two_violations(tree):
-            found = view_repair(tree, v)
+            found = view_repair(tree, view, v)
             assert find_repair_chain(tree, v) == found, (tree, v)
             ops.append(SurgeryOp(found.cut_node, found.attach_kind, found.attach_node,
                                  str(found.case)))

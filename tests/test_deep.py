@@ -7,7 +7,11 @@ compared by text or by flat tuples, never with ``==`` on nested roots,
 which recurses in C once per level.
 
 The right-chain view is held to a test-local copy built one keyword call
-per record, on every tree with n <= 7 and on every deep input here.
+per record, on every tree with n <= 7 and on every deep input here.  That
+copy decides lock against hang node by node, in reversed post-order, so it
+states the group rule independently of ``trees._group_walk``, which the
+view and the bijection's searches share; the walk is held to its groups
+on every tree with n <= 8.
 """
 
 import json
@@ -18,6 +22,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from descpoly.bijection import _group
 from descpoly.permutations import Permutation, is_separable, parse_permutation
 from descpoly.trees import (
     ChainRecord,
@@ -25,6 +30,7 @@ from descpoly.trees import (
     GroupRecord,
     InvalidTreeError,
     RightChainView,
+    _group_walk,
     enumerate_trees,
     perm_to_tree,
     word_to_tree,
@@ -96,8 +102,10 @@ def random_split(n, rng):
 
 
 def keyword_view(tree):
-    """``tree.right_chains()`` built as it was before the records were
-    made from columns: one keyword call per chain and per group."""
+    """``tree.right_chains()`` built as it was before one group walk served
+    the view and the searches: lock or hang decided per terminal in
+    reversed post-order, groups keyed by their hang node, and one keyword
+    call per chain and per group."""
     ix = tree._index()
     left, parent = ix.left, ix.parent
     raw_chains = tree.chain_nodes()
@@ -142,6 +150,24 @@ def test_right_chains_is_the_keyword_view_to_n7():
     for n in range(1, 8):
         for tree in enumerate_trees(n):
             assert tree.right_chains() == keyword_view(tree), tree
+
+
+def test_group_walk_is_the_keyword_views_group_to_n8():
+    # For every chain: the walk's run (as chain indices) and hang node are
+    # its group's record, and the searches' per-plan read of the walk puts
+    # the chain at its position in the record, with the memo shared by the
+    # tree's chains as within one plan.
+    for n in range(1, 9):
+        for tree in enumerate_trees(n):
+            view = keyword_view(tree)
+            chains, chain_of = tree.chain_nodes(), tree._walk()[1]
+            memo = {}
+            for c in view.chains:
+                group = view.groups[c.group - 1]
+                run, hang = _group_walk(tree._kept_index(), chains, chain_of, c.index)
+                assert tuple(chain_of[nodes[0]] for nodes in run) == group.chains, (tree, c)
+                assert hang == group.hang_node, (tree, c)
+                assert _group(tree, memo, c.index) == (run, group.chains.index(c.index), hang)
 
 
 def through_every_view(values, word_text=None):

@@ -271,6 +271,10 @@ def test_flip_chain_involution_and_commutation():
         assert t.flip_chain(i).flip_chain(j) == t.flip_chain(j).flip_chain(i)
     with pytest.raises(ValueError):
         t.flip_chain(r + 1)
+    # Only an int is a chain index: a bool or float that equals one is not.
+    for i in (True, 1.0, 2.0, False):
+        with pytest.raises(ValueError, match=rf"^chain index {i} out of range 1\.\.{r}$"):
+            t.flip_chain(i)
 
 
 def test_flip_commutation_exhaustive_small():
@@ -426,6 +430,10 @@ def test_chain_nodes_are_the_chains_of_the_view():
             assert t.chain_nodes() == tuple(c.nodes for c in t.right_chains().chains)
             for c in t.right_chains().chains:
                 assert all(t.chain_index_of(v) == c.index for v in c.nodes)
+            # Only the int id of a node has a chain: a bool or float does not.
+            for v in (True, 1.0, float(t.size), 0, t.size + 1):
+                with pytest.raises(KeyError):
+                    t.chain_index_of(v)
 
 
 # The generator as it stood before each order carried its minus counts:
