@@ -325,16 +325,21 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
     numbers the image from them by ``nested.index``'s in-order walk.  The
     labels are the tree's own, checked or generated by the checking rule,
     so they are not checked again; the walk checks that each right chain
-    still alternates and that it reaches every node.
+    still alternates and that it reaches every node.  A move of another
+    kind, or on anything but the ``int`` id of a node, raises before it
+    edits a link.
     """
     labels = [None, *tree.labels()]
     ix = tree._index()
-    if not ix.post:
-        return tree  # empty tree, nothing to do
     left, right, parent = list(ix.left), list(ix.right), list(ix.parent)
+    m = len(left) - 1
     # The checks are inline: this loop runs once per move of every map.
     for op in ops:
-        u, v = op.cut_node, op.attach_node
+        u, v, kind = op.cut_node, op.attach_node, op.attach_kind
+        if kind not in ("attach-right", "lock-left"):
+            raise InvariantError(f"unknown attach kind; {op!r}; {tree!r}")
+        if type(u) is not int or type(v) is not int or not (0 < u <= m and 0 < v <= m):
+            raise InvariantError(f"a move's nodes are ints in 1..{m}; {op!r}; {tree!r}")
         p = parent[u]
         if p == 0:
             raise InvariantError(f"cannot cut the root; {op!r}; {tree!r}")
@@ -344,7 +349,7 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
             right[p] = 0
         else:
             raise InvariantError(f"the cut node is no child of its parent; {op!r}; {tree!r}")
-        if op.attach_kind == "attach-right":
+        if kind == "attach-right":
             if right[v]:
                 raise InvariantError(f"the target has a right child; {op!r}; {tree!r}")
             right[v] = u
@@ -353,7 +358,8 @@ def apply_ops(tree: DiskTree, ops: Iterable[SurgeryOp]) -> DiskTree:
                 raise InvariantError(f"the target has a left child; {op!r}; {tree!r}")
             left[v] = u
         parent[u] = v
-    return DiskTree._from_index(index_links(left, right, labels, ix.post[-1], InvariantError))
+    root = ix.post[-1] if ix.post else 0
+    return DiskTree._from_index(index_links(left, right, labels, root, InvariantError))
 
 
 def psi_plan(tree: DiskTree) -> list[SurgeryOp]:

@@ -7,8 +7,10 @@ spell ``None``.  Unlabeled tree shapes are ``(left, right)`` pairs over
 ``None``.  There are two walkers, one explicit-stack pass each, and both
 number the nodes by in-order and record the links between them:
 :func:`index` walks the triples, and :func:`index_links` walks child links
-over ids, building the triples as it goes; the bijection's moves hand it
-the links they edited.  The other helpers here are plain loops over that
+over ids, building the triples as it goes.  It is the one builder of a
+tree whose labels or links differ from its source's: the bijection's moves
+hand it the links they edited, and a chain flip or a shape's labeling the
+labels it chose.  The other helpers here are plain loops over that
 record, so no walker recurses and inputs of any depth take linear time.
 
 :class:`CheckedTree` is the value both wrap: a ``(label, left, right)``
@@ -114,6 +116,8 @@ def index_links(left_of: Sequence[int], right_of: Sequence[int], labels: Sequenc
     hang from ``root``; node i takes the label ``labels`` gives its id, and
     gets its triple once its subtree is complete.  Raises ``error`` where a
     right child repeats its parent's label or where the walk misses an id.
+    The moves, chain flips and shape labelings (root 0 for the empty shape)
+    all build their trees here, so each gets that check.
     """
     size = len(left_of)
     nodes = [None] * size  # a node's label, then its triple
@@ -187,16 +191,6 @@ def check(root: Node, error: type[Exception]) -> Index:
         if right is not None and right[0] == label:
             raise error("right chain does not alternate")
     return ix
-
-
-def rebuild(ix: Index, labels: Sequence) -> list:
-    """Fresh triples of the same shape; entry i is the subtree of id i
-    (entry 0 is None), and node i takes the label ``labels[i]``."""
-    left, right = ix.left, ix.right
-    out = [None] * len(left)
-    for v in ix.post:
-        out[v] = (labels[v], out[left[v]], out[right[v]])
-    return out
 
 
 def render(ix: Index, leaf: str, opens: dict, mids: dict, close: str = ")") -> str:

@@ -22,7 +22,7 @@ from itertools import starmap, zip_longest
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .value import Value
+from .value import Value, need
 
 
 class NotPalindromicError(ValueError):
@@ -266,8 +266,7 @@ def gamma_decompose(p: IntPolynomial, darga: int) -> GammaVector:
     >>> gamma_decompose(IntPolynomial((0, 1)), 2).gammas
     (1,)
     """
-    if darga < 0:
-        raise ValueError("darga must be nonnegative")
+    need("darga", darga, 0)
     if p.is_zero():
         return GammaVector(darga, 0, ())
     r, s = p.low_degree, p.degree

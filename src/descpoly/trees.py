@@ -35,7 +35,7 @@ import json
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, rebuild, render
+from .nested import MINUS, PLUS, CheckedTree, Index, Node, index, index_links, render
 from .permutations import Permutation
 from .value import Value, need
 from .words import SchroderWord, index_values, sweep
@@ -179,8 +179,8 @@ class DiskTree(CheckedTree):
     word and the singleton permutation.
     """
 
-    # The chain walk and the right-chain view, each set on first use.
-    __slots__ = ("_walk_memo", "_view_memo")
+    # The chain walk, set on first use.
+    __slots__ = ("_walk_memo",)
 
     _ATOM = "_"
     _OPENS = _OPENS
@@ -226,15 +226,11 @@ class DiskTree(CheckedTree):
         """Decompose into right chains with order, level, lock/hang, groups.
 
         The chains come from ``chain_nodes`` and each group from one
-        ``_group_walk``, opened by its first chain in chain order; built
-        on the first call and cached.  It is the public view (the CLI's
-        ``tree`` command); the bijection's searches read only the groups
-        of their sites, through the same walk.
+        ``_group_walk``, opened by its first chain in chain order.  It is
+        the public view (the CLI's ``tree`` command); the bijection's
+        searches read only the groups of their sites, through the same
+        walk.
         """
-        try:
-            return self._view_memo
-        except AttributeError:
-            pass
         ix = self._kept_index()
         raw_chains, chain_of = self._walk()
 
@@ -261,8 +257,7 @@ class DiskTree(CheckedTree):
         chains = tuple(map(ChainRecord._make, zip(
             range(1, r + 1), raw_chains, [ix.nodes[nodes[0]][0] for nodes in raw_chains],
             level[1:], attachment[1:], group[1:])))
-        self._view_memo = RightChainView(chains, tuple(map(GroupRecord._make, groups)))
-        return self._view_memo
+        return RightChainView(chains, tuple(map(GroupRecord._make, groups)))
 
     def chain_index_of(self, node_id: int) -> int:
         """Chain (1-based index in chain order) containing the given node;
@@ -304,7 +299,8 @@ class DiskTree(CheckedTree):
         for v in chains[i - 1]:
             labels[v] = _FLIP[labels[v]]
         ix = self._index()
-        return DiskTree._from_index(ix._replace(nodes=rebuild(ix, labels)))
+        return DiskTree._from_index(
+            index_links(ix.left, ix.right, labels, ix.post[-1], InvalidTreeError))
 
     # -- serialization ----------------------------------------------------
 
@@ -439,6 +435,7 @@ class TreeShape(Value):
         """
         ix = self._index()
         chains = _chain_walk(ix)[0]
+        root = ix.post[-1] if ix.post else 0
         for mask in range(1 << len(chains)):
             labels: list = [None] * len(ix.left)
             for i, nodes in enumerate(chains):
@@ -446,7 +443,8 @@ class TreeShape(Value):
                 for v in nodes:
                     labels[v] = label
                     label = _FLIP[label]
-            yield DiskTree._from_index(ix._replace(nodes=rebuild(ix, labels)))
+            yield DiskTree._from_index(
+                index_links(ix.left, ix.right, labels, root, InvalidTreeError))
 
 
 def _shape_of_key(key: str) -> TreeShape:

@@ -100,11 +100,10 @@ class VerificationReport(Value):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, suite: str, records: Optional[list[CheckRecord]] = None,
-                 wall_time: float = 0.0):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.records = [] if records is None else records
-        self.wall_time = wall_time
+        self.records = []
+        self.wall_time = 0.0
 
     def check(self, cid: str, subject: str, expected, actual) -> None:
         status = PASS if expected == actual else FAIL

@@ -1,5 +1,4 @@
-"""Smoke runs of the benchmark's census and sweep workloads from a fresh
-checkout root."""
+"""Smoke runs of the benchmark's four workloads from a fresh checkout root."""
 
 import json
 import subprocess
@@ -16,18 +15,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SWEEP_REQUESTS, SWEEP_DEEP_FAILURES = 67, 4
 
 
-@pytest.mark.parametrize("workload", ["census", "sweep"])
+@pytest.mark.parametrize("workload", ["census", "families", "sweep", "cli"])
 def test_workload_prints_its_pinned_digest(workload):
     # At the default seed bench/run.py exits 1 with no metrics unless every
     # pass's outputs match the references and the pinned SHA-256, so a last
-    # line reading correct is the pinned output: the census with no failed
-    # request, the sweep (which times right_chains) with only the deep ones.
+    # line reading correct is the pinned output: the sweep (which times
+    # right_chains) with only the deep ones failed, the others with none;
+    # the cli digest holds the tree and bij commands' outputs.
     result = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0.1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     last = json.loads(result.stdout.strip().splitlines()[-1])
-    allowed = 0 if workload == "census" else (
+    allowed = 0 if workload != "sweep" else (
         last["attempted"] // SWEEP_REQUESTS * SWEEP_DEEP_FAILURES)
     assert last["correct"] is True and last["failed"] <= allowed, last

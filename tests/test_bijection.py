@@ -620,6 +620,50 @@ def test_apply_ops_refuses_a_right_chain_that_does_not_alternate():
         apply_ops(t, [SurgeryOp(1, "attach-right", 3, "I")])
 
 
+# Each of these was read as some other move: an unknown kind as lock-left,
+# -1 as the last node, True as node 1; 99 died in an IndexError.
+BAD_MOVES = [
+    SurgeryOp(1, "sideways", 2, "I"),
+    SurgeryOp(1, "attach-right", -1, "I"),
+    SurgeryOp(True, "attach-right", 2, "I"),
+    SurgeryOp(99, "attach-right", 2, "I"),
+]
+
+_BAD_MOVES_UNDER_O = """
+import sys
+from descpoly.bijection import InvariantError, SurgeryOp, apply_ops
+from descpoly.trees import DiskTree
+
+assert sys.flags.optimize == 1
+assert False, "assert statements run"
+t = DiskTree.parse("(- (+ _ _) _)")
+for op in %r:
+    try:
+        apply_ops(t, [SurgeryOp(*op)])
+    except InvariantError:
+        print("raised")
+    else:
+        print("returned")
+"""
+
+
+@pytest.mark.parametrize("op", BAD_MOVES, ids=["kind", "negative", "bool", "past-m"])
+def test_apply_ops_refuses_a_move_off_the_kinds_or_the_nodes(op):
+    t = DiskTree.parse("(- (+ _ _) _)")
+    wrong = "unknown attach kind" if op.attach_kind == "sideways" else (
+        r"a move's nodes are ints in 1\.\.2")
+    with pytest.raises(InvariantError, match=f"^{wrong}; "):
+        apply_ops(t, [op])
+
+
+def test_apply_ops_refuses_a_move_off_the_kinds_or_the_nodes_under_python_O():
+    script = _BAD_MOVES_UNDER_O % [tuple(op) for op in BAD_MOVES]
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised\n" * len(BAD_MOVES)
+
+
 def test_the_maps_number_their_images_without_a_fresh_walk(monkeypatch):
     # The moves' image is numbered from its links; nested.index and
     # nested.check are the triple walks, which the images must not need.

@@ -16,6 +16,7 @@ from descpoly.bijection import bijection_certificate, order_independence_certifi
 from descpoly.families import PolyCache
 from descpoly.gessel import two_var_poly
 from descpoly.permutations import all_permutations, identity, separable_permutations
+from descpoly.polynomials import IntPolynomial, gamma_decompose
 from descpoly.rcindex import gamma_from_shapes, rc_index
 from descpoly.trees import DiskTree, enumerate_shapes, enumerate_trees
 from descpoly.verify import SUITES, verify_suite
@@ -52,6 +53,7 @@ SITES = [
     ("enumerate_trees", "n", 1, enumerate_trees),
     ("enumerate_trees n_minus", "n_minus", 0, lambda v: enumerate_trees(4, n_minus=v)),
     ("enumerate_words", "n", 1, enumerate_words),
+    ("gamma_decompose darga", "darga", 0, lambda v: gamma_decompose(IntPolynomial((1,)), v)),
 ]
 
 # The entries whose work can be watched: each is replaced by None, so any

@@ -78,6 +78,7 @@ def test_no_order_check_is_written_outside_the_gate():
                 continue
             text = _message_text(exc.args[0])
             if text is not None and (text.startswith("need ") or "must be an int" in text
-                                     or "must be at least" in text):
+                                     or "must be at least" in text
+                                     or "must be nonnegative" in text):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -328,6 +328,26 @@ def test_shape_labelings_cover_all_trees():
         assert from_shapes == set(enumerate_trees(n))
 
 
+def test_flips_and_labelings_are_pinned():
+    # The text of every chain flip of every tree to n = 8 and of every
+    # labeling of every shape to n = 9: a changed label or id on any small
+    # derived tree changes a digest.  The view is built afresh per call,
+    # and equal each time.
+    flips = []
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            view = t.right_chains()
+            assert t.right_chains() == view
+            flips.extend(t.flip_chain(i).to_text() for i in range(1, view.r + 1))
+    labelings = [t.to_text() for n in range(1, 10)
+                 for s in enumerate_shapes(n) for t in s.labelings()]
+    assert (len(flips), len(labelings)) == (48638, 52465)
+    assert hashlib.sha256("\n".join(flips).encode()).hexdigest() == (
+        "afc6b122b0f2fdfaaad68462a9de30e955c14e16aa34cfa5271b4b34ec80bb0b")
+    assert hashlib.sha256("\n".join(labelings).encode()).hexdigest() == (
+        "0540fc2996fd214e6d37bb9511aa799c4dfabcd34b9ea699ad4a114f8fb223bd")
+
+
 def test_counts():
     for n, count in enumerate(SCHRODER, start=1):
         assert sum(1 for _ in enumerate_trees(n)) == count
